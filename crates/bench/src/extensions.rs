@@ -9,10 +9,10 @@
 //!   against true multi-objective selection, compared by the hypervolume of
 //!   the (IL, DR) fronts each run discovers for the same budget.
 
-use cdp_core::nsga::{hypervolume, HV_REFERENCE};
+use cdp_core::nsga::hypervolume_vec;
 use cdp_core::ScatterPoint;
 use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
-use cdp_metrics::{Evaluator, MetricConfig, ScoreAggregator};
+use cdp_metrics::{Evaluator, MetricConfig, ObjectiveVector, ScoreAggregator};
 use cdp_privacy::{mondrian_anonymize, CostKind, LatticeSearch, Partition, Recoder};
 use cdp_sdc::SuiteConfig;
 
@@ -202,8 +202,11 @@ impl ParetoComparison {
 }
 
 fn hv_of(points: &[ScatterPoint]) -> f64 {
-    let objs: Vec<(f64, f64)> = points.iter().map(|p| (p.il, p.dr)).collect();
-    hypervolume(&objs, HV_REFERENCE)
+    let objs: Vec<ObjectiveVector> = points
+        .iter()
+        .map(|p| ObjectiveVector::pair(p.il, p.dr))
+        .collect();
+    hypervolume_vec(&objs, &ObjectiveVector::pair(100.0, 100.0))
 }
 
 /// Run the scalar-vs-NSGA-II comparison. The scalar contenders reuse the

@@ -582,7 +582,7 @@ impl JobSpec {
                     ..cdp_core::IslandConfig::default()
                 };
                 if cfg.islands != expected_islands {
-                    return Err(unrepresentable("a migration_size/topology override"));
+                    return Err(unrepresentable("a migration_size override"));
                 }
                 spec.mode = SpecMode::Nsga;
                 spec.gens = cfg.generations;

@@ -7,14 +7,15 @@ use rand::{Rng, SeedableRng};
 
 use crate::adaptive::OperatorStats;
 use crate::archive::ParetoArchive;
-use crate::config::EvoConfig;
+use crate::config::{EvoConfig, IslandConfig};
 use crate::individual::Individual;
+use crate::islands::{budget_share, deal, island_hash, EpochRunner, IslandEvent, IslandMode};
 use crate::operators::{crossover, mutate, OperatorKind};
 use crate::parallel::{evaluate_all, evaluate_tasks, EvalTask, MIN_PARALLEL_EVAL_ROWS};
 use crate::population::Population;
 use crate::replacement::offspring_wins;
 use crate::selection::select_leader;
-use crate::telemetry::{EvalCounts, ScatterPoint, Trace};
+use crate::telemetry::{EvalCounts, GenerationStats, ScatterPoint, Trace};
 use crate::{EvoError, Result};
 
 /// Mutable per-run evaluation bookkeeping threaded through the generation
@@ -117,33 +118,6 @@ impl Evolution {
         Ok(self)
     }
 
-    /// Size of the loaded population (0 before loading).
-    pub(crate) fn population_len(&self) -> usize {
-        self.population.as_ref().map_or(0, Population::len)
-    }
-
-    /// Disassemble for the island scheduler: evaluator, config, the
-    /// loaded population (if any), and the initial-evaluation count.
-    pub(crate) fn into_parts(self) -> (Evaluator, EvoConfig, Option<Population>, usize) {
-        (
-            self.evaluator,
-            self.config,
-            self.population,
-            self.initial_evaluations,
-        )
-    }
-
-    /// Bind an already-evaluated population. The island scheduler
-    /// evaluates the full initial population once, partitions the
-    /// resulting members, and hands each island its share through here;
-    /// `initial_evaluations` is the number of full assessments attributed
-    /// to these members in the outcome's [`EvalCounts`].
-    pub(crate) fn with_population(mut self, pop: Population, initial_evaluations: usize) -> Self {
-        self.population = Some(pop);
-        self.initial_evaluations = initial_evaluations;
-        self
-    }
-
     /// Run Algorithm 1 to completion.
     ///
     /// # Panics
@@ -156,10 +130,10 @@ impl Evolution {
     /// recorded; useful for progress reporting in long experiments).
     pub fn run_with<F>(self, mut observer: F) -> EvolutionOutcome
     where
-        F: FnMut(&crate::telemetry::GenerationStats),
+        F: FnMut(&GenerationStats),
     {
-        let mut runner = EvolutionRunner::start(self);
-        while runner.step(&mut observer) {}
+        let mut runner = self.start();
+        runner.run_chunk(usize::MAX, &mut observer);
         runner.finish()
     }
 
@@ -381,10 +355,11 @@ impl Evolution {
 /// one-shot [`Evolution::run_with`] used to keep in local variables,
 /// factored out so the island scheduler ([`crate::islands`]) can advance a
 /// run in bounded chunks, exchange members at migration barriers, and
-/// finish it later. `start` + `while step()` + `finish` replays the exact
+/// finish it later. `start` + `run_chunk` + `finish` replays the exact
 /// RNG stream of the historical one-shot loop — the engine's bit-exactness
-/// tests pin this.
-pub(crate) struct EvolutionRunner {
+/// tests pin this. `pub` in this private module so the island scheduler's
+/// traits can name it without it joining the public API.
+pub struct EvolutionRunner {
     evolution: Evolution,
     pop: Population,
     rng: StdRng,
@@ -398,44 +373,19 @@ pub(crate) struct EvolutionRunner {
     ctx: StepCtx,
 }
 
-impl EvolutionRunner {
-    /// Snapshot the initial population and seed the loop state.
-    ///
-    /// # Panics
-    /// Panics when no population was loaded (builder misuse).
-    pub(crate) fn start(mut evolution: Evolution) -> EvolutionRunner {
-        let pop = evolution
-            .population
-            .take()
-            .expect("population must be loaded before run()");
-        let cfg = evolution.config;
-        let rng = StdRng::seed_from_u64(cfg.seed ^ 0xE70_A160);
-        let mut trace = Trace::default();
-        let initial = pop.scatter();
-        let mut archive = ParetoArchive::new();
-        for point in &initial {
-            archive.offer(point.clone());
-        }
-        trace.record(0, pop.scores(), None, false);
-        let best = pop.best().score();
-        let op_stats = OperatorStats::new(cfg.operator_schedule, cfg.mutation_rate);
-        EvolutionRunner {
-            evolution,
-            pop,
-            rng,
-            trace,
-            initial,
-            archive,
-            best,
-            since_improvement: 0,
-            t: 0,
-            op_stats,
-            ctx: StepCtx::new(),
+impl EpochRunner for EvolutionRunner {
+    type Stats = GenerationStats;
+    type Outcome = EvolutionOutcome;
+
+    fn event(island: usize, stats: &GenerationStats) -> IslandEvent {
+        IslandEvent::Generation {
+            island,
+            stats: *stats,
         }
     }
 
     /// Whether the stop condition already holds.
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.evolution
             .config
             .stop
@@ -444,10 +394,7 @@ impl EvolutionRunner {
 
     /// Execute one iteration unless the stop condition holds; returns
     /// whether an iteration ran.
-    pub(crate) fn step<F>(&mut self, observer: &mut F) -> bool
-    where
-        F: FnMut(&crate::telemetry::GenerationStats),
-    {
+    fn step_epoch<F: FnMut(&GenerationStats)>(&mut self, observer: &mut F) -> bool {
         if self.finished() {
             return false;
         }
@@ -487,27 +434,14 @@ impl EvolutionRunner {
         true
     }
 
-    /// Run at most `max` iterations; returns how many actually ran (fewer
-    /// only when the stop condition interrupts the chunk).
-    pub(crate) fn run_chunk<F>(&mut self, max: usize, observer: &mut F) -> usize
-    where
-        F: FnMut(&crate::telemetry::GenerationStats),
-    {
-        let mut ran = 0;
-        while ran < max && self.step(observer) {
-            ran += 1;
-        }
-        ran
-    }
-
     /// Iterations executed so far.
-    pub(crate) fn iterations_run(&self) -> usize {
+    fn generations(&self) -> usize {
         self.t
     }
 
     /// Clones of the `count` best members (the population is score-sorted,
     /// ties by insertion order — deterministic).
-    pub(crate) fn export_best(&self, count: usize) -> Vec<Individual> {
+    fn emigrants(&self, count: usize) -> Vec<Individual> {
         (0..count.min(self.pop.len()))
             .map(|i| self.pop.get(i).clone())
             .collect()
@@ -517,7 +451,7 @@ impl EvolutionRunner {
     /// at least one native always survives), then resort. An immigrant
     /// that beats the island's best resets the stagnation counter exactly
     /// like a native improvement would.
-    pub(crate) fn migrate_in(&mut self, immigrants: Vec<Individual>) {
+    fn immigrate(&mut self, immigrants: Vec<Individual>) {
         let n = self.pop.len();
         let take = immigrants.len().min(n.saturating_sub(1));
         for (j, immigrant) in immigrants.into_iter().take(take).enumerate() {
@@ -532,7 +466,7 @@ impl EvolutionRunner {
     }
 
     /// Assemble the outcome; identical to what the one-shot loop returned.
-    pub(crate) fn finish(self) -> EvolutionOutcome {
+    fn finish(self) -> EvolutionOutcome {
         let mut eval_counts = self.ctx.evals;
         eval_counts.full += self.evolution.initial_evaluations;
         EvolutionOutcome {
@@ -544,6 +478,130 @@ impl EvolutionRunner {
             final_mutation_rate: self.op_stats.mutation_rate(),
             eval_counts,
             population: self.pop,
+        }
+    }
+}
+
+/// Scalar islands split the iteration budget; the merge concatenates the
+/// final populations and unions the Pareto archives.
+impl IslandMode for Evolution {
+    type Runner = EvolutionRunner;
+    /// The full initial population's scatter and scores.
+    type Initial = (Vec<ScatterPoint>, Vec<f64>);
+
+    fn islands(&self) -> IslandConfig {
+        self.config.islands
+    }
+
+    fn load<I>(self, items: I) -> Result<Self>
+    where
+        I: IntoIterator,
+        I::Item: Into<(String, SubTable)>,
+    {
+        self.with_named_population(items)
+    }
+
+    fn population_len(&self) -> usize {
+        self.population.as_ref().map_or(0, Population::len)
+    }
+
+    /// Snapshot the initial population and seed the loop state.
+    ///
+    /// # Panics
+    /// Panics when no population was loaded (misuse of the API).
+    fn start(mut self) -> EvolutionRunner {
+        let pop = self
+            .population
+            .take()
+            .expect("population must be loaded before run()");
+        let cfg = self.config;
+        let rng = StdRng::seed_from_u64(cfg.seed ^ 0xE70_A160);
+        let mut trace = Trace::default();
+        let initial = pop.scatter();
+        let mut archive = ParetoArchive::new();
+        for point in &initial {
+            archive.offer(point.clone());
+        }
+        trace.record(0, pop.scores(), None, false);
+        let best = pop.best().score();
+        let op_stats = OperatorStats::new(cfg.operator_schedule, cfg.mutation_rate);
+        EvolutionRunner {
+            evolution: self,
+            pop,
+            rng,
+            trace,
+            initial,
+            archive,
+            best,
+            since_improvement: 0,
+            t: 0,
+            op_stats,
+            ctx: StepCtx::new(),
+        }
+    }
+
+    fn split(mut self, k: usize) -> (Vec<EvolutionRunner>, Self::Initial) {
+        let pop = self
+            .population
+            .take()
+            .expect("population must be loaded before run()");
+        let initial = (pop.scatter(), pop.scores().to_vec());
+        // island 0 absorbs the evaluations of members dropped before the
+        // split so the aggregate matches the legacy accounting exactly
+        let dropped = self.initial_evaluations - pop.len();
+        let runners = deal(pop.into_members(), k)
+            .into_iter()
+            .enumerate()
+            .map(|(j, part)| {
+                let mut config = self.config;
+                config.seed ^= island_hash(j);
+                config.stop.max_iterations = budget_share(self.config.stop.max_iterations, k, j);
+                Evolution {
+                    evaluator: self.evaluator.clone(),
+                    config,
+                    initial_evaluations: part.len() + if j == 0 { dropped } else { 0 },
+                    population: Some(Population::new(part)),
+                }
+                .start()
+            })
+            .collect();
+        (runners, initial)
+    }
+
+    fn merge(
+        (initial, initial_scores): Self::Initial,
+        outcomes: Vec<EvolutionOutcome>,
+    ) -> EvolutionOutcome {
+        let final_mutation_rate = outcomes[0].final_mutation_rate;
+        let mut eval_counts = EvalCounts::default();
+        let mut iterations_run = 0usize;
+        let mut archive = ParetoArchive::new();
+        let mut members: Vec<Individual> = Vec::with_capacity(initial.len());
+        for o in outcomes {
+            eval_counts.full += o.eval_counts.full;
+            eval_counts.incremental += o.eval_counts.incremental;
+            iterations_run += o.iterations_run;
+            for point in o.pareto_front {
+                archive.offer(point);
+            }
+            members.extend(o.population.into_members());
+        }
+        let merged = Population::new(members);
+        // the merged trace keeps the endpoints only: the initial full
+        // population and the merged final one (per-island series stream to
+        // the observer as IslandEvent::Generation)
+        let mut trace = Trace::default();
+        trace.record(0, &initial_scores, None, false);
+        trace.record(iterations_run, merged.scores(), None, false);
+        EvolutionOutcome {
+            initial,
+            final_points: merged.scatter(),
+            trace,
+            iterations_run,
+            pareto_front: archive.front(),
+            final_mutation_rate,
+            eval_counts,
+            population: merged,
         }
     }
 }

@@ -1,24 +1,36 @@
 //! Island-model parallel evolution: K independent optimizer instances on
 //! scoped threads, synchronized only at migration barriers.
 //!
-//! An [`IslandModel`] splits the evaluated initial population round-robin
-//! across `K` islands ([`IslandConfig::count`]). Each island is a full
-//! [`Evolution`] (scalar mode) or [`Nsga2`] (nsga mode) with its own RNG
-//! stream derived as `seed ⊕ island_hash(k)`, where `island_hash(0) = 0`
-//! — so island 0 of any run, and the single island of a `K = 1` run,
-//! replays the legacy single-population stream bit for bit. Every
-//! [`IslandConfig::migration_interval`] generations the islands stop at a
-//! barrier and exchange members along the configured [`Topology`] (ring
-//! by default: island `k` exports its [`IslandConfig::migration_size`]
-//! best/elite members to island `(k + 1) mod K`, which replaces its worst
-//! members, all tie-breaks deterministic). When every island exhausts its
-//! budget the results merge deterministically, in island-index order:
-//! scalar mode concatenates the final populations (the global best is the
-//! merged population's minimum, ties kept in island order) and unions the
-//! per-island Pareto archives; nsga mode filters the union of island
-//! fronts down to its non-dominated subset
-//! ([`crate::nsga::non_dominated_points`] is the same rule) and
-//! recomputes the hypervolume on the merged front.
+//! One scheduler, [`IslandRun::run_with_timing`], runs both optimizers. It
+//! sees each island only through a crate-private epoch trait that
+//! [`Evolution`]'s and [`Nsga2`]'s resumable runners implement: advance
+//! one generation (`step_epoch`, looped by the shared `run_chunk`), export
+//! the best members (`emigrants`), take members in (`immigrate`), report
+//! the generations run (`generations`) and assemble the outcome
+//! (`finish`). What differs per optimizer sits in its mode: how the budget
+//! splits, which [`IslandEvent`] wraps its per-generation statistics, and
+//! how the island outcomes merge.
+//!
+//! The scheduler splits the evaluated initial population round-robin across
+//! `K` islands ([`IslandConfig::count`]). Each island runs with its own
+//! RNG stream derived as `seed ⊕ island_hash(k)`, where
+//! `island_hash(0) = 0`, so island 0 of any run, and the single island of
+//! a `K = 1` run, replays the legacy single-population stream bit for
+//! bit. Every [`IslandConfig::migration_interval`] generations the islands
+//! stop at a barrier and exchange members along a directed ring: island
+//! `k` exports its [`IslandConfig::migration_size`] best/elite members to
+//! island `(k + 1) mod K`, which replaces its worst members (all
+//! tie-breaks deterministic). When every island exhausts its budget the
+//! results merge deterministically, in island-index order:
+//!
+//! * scalar mode splits the iteration budget, concatenates the final
+//!   populations (the global best is the merged population's minimum,
+//!   ties kept in island order) and unions the per-island Pareto
+//!   archives;
+//! * nsga mode splits the offspring batch, filters the union of island
+//!   fronts down to its non-dominated subset
+//!   ([`crate::nsga::non_dominated_points`] is the same rule) and
+//!   recomputes the hypervolume on the merged front.
 //!
 //! # Determinism contract
 //!
@@ -29,7 +41,7 @@
 //!   runs regardless of thread scheduling or core count.
 //! * `K = 1` is exactly the legacy single-population run: same RNG
 //!   stream, same outcome, bit for bit (the engine's reproduction tests
-//!   pin this).
+//!   pin this), with events streamed as each generation finishes.
 //! * Observers see island events in a deterministic order: each epoch's
 //!   generation stats replay island by island, then migrations fire in
 //!   source-island order. Only [`IslandTiming`] (wall-clock and
@@ -38,21 +50,98 @@
 use std::time::{Duration, Instant};
 
 use cdp_dataset::SubTable;
-use cdp_metrics::Evaluator;
+use cdp_metrics::{Evaluator, ObjectiveSet};
 
-use crate::algorithm::{Evolution, EvolutionOutcome, EvolutionRunner};
-use crate::archive::ParetoArchive;
-use crate::config::{EvoConfig, IslandConfig, Topology};
+use crate::algorithm::Evolution;
 use crate::individual::Individual;
-use cdp_metrics::{ObjectiveSet, ObjectiveVector};
+use crate::nsga::{FrontStats, Nsga2};
+use crate::telemetry::GenerationStats;
+use crate::{EvoConfig, EvoError, IslandConfig, NsgaConfig, Result};
 
-use crate::nsga::{
-    hypervolume_vec, non_dominated_sort_vec, pareto_front_of, FrontStats, Nsga2, NsgaConfig,
-    NsgaOutcome, NsgaRunner,
-};
-use crate::population::Population;
-use crate::telemetry::{EvalCounts, GenerationStats, ScatterPoint, Trace};
-use crate::{EvoError, Result};
+pub(crate) use epoch::{EpochRunner, IslandMode};
+
+/// The scheduler's view of an optimizer. Public traits in a private module:
+/// [`IslandRun`]'s methods may name them as bounds, yet no item outside
+/// this crate can implement or call them.
+mod epoch {
+    use super::*;
+
+    /// One island's resumable optimizer loop.
+    pub trait EpochRunner: Send {
+        /// Per-generation statistics streamed to observers.
+        type Stats: Copy + Send;
+        /// What the finished loop returns.
+        type Outcome;
+
+        /// Wrap one island's generation statistics as an observer event.
+        fn event(island: usize, stats: &Self::Stats) -> IslandEvent;
+
+        /// Whether the island exhausted its budget.
+        fn finished(&self) -> bool;
+
+        /// Execute one generation unless finished; returns whether one
+        /// ran.
+        fn step_epoch<F: FnMut(&Self::Stats)>(&mut self, observer: &mut F) -> bool;
+
+        /// Run at most `max` generations: one migration epoch, or the
+        /// whole run with `usize::MAX`.
+        fn run_chunk<F: FnMut(&Self::Stats)>(&mut self, max: usize, observer: &mut F) {
+            for _ in 0..max {
+                if !self.step_epoch(observer) {
+                    break;
+                }
+            }
+        }
+
+        /// Generations executed so far.
+        fn generations(&self) -> usize;
+
+        /// Clones of the `count` members this island exports.
+        fn emigrants(&self, count: usize) -> Vec<Individual>;
+
+        /// Replace the worst members with `immigrants`, always keeping at
+        /// least one native.
+        fn immigrate(&mut self, immigrants: Vec<Individual>);
+
+        /// Assemble the outcome.
+        fn finish(self) -> Self::Outcome;
+    }
+
+    /// An optimizer with a loaded population, as the scheduler splits and
+    /// merges it.
+    pub trait IslandMode: Sized {
+        /// The resumable loop one island runs.
+        type Runner: EpochRunner;
+        /// What the merge needs from the pre-split population.
+        type Initial;
+
+        /// The island knobs of the configuration.
+        fn islands(&self) -> IslandConfig;
+
+        /// Load and evaluate the named initial population.
+        fn load<I>(self, items: I) -> Result<Self>
+        where
+            I: IntoIterator,
+            I::Item: Into<(String, SubTable)>;
+
+        /// Size of the loaded population (0 before loading).
+        fn population_len(&self) -> usize;
+
+        /// Start the loop over the loaded population: the whole run when
+        /// `K = 1`, one island's after a split.
+        fn start(self) -> Self::Runner;
+
+        /// Deal the population round-robin over `k ≥ 2` islands, each with
+        /// its own seed and share of the budget.
+        fn split(self, k: usize) -> (Vec<Self::Runner>, Self::Initial);
+
+        /// Merge the island outcomes, given in island-index order.
+        fn merge(
+            initial: Self::Initial,
+            outcomes: Vec<<Self::Runner as EpochRunner>::Outcome>,
+        ) -> <Self::Runner as EpochRunner>::Outcome;
+    }
+}
 
 /// Deterministic per-island seed perturbation (`seed ⊕ island_hash(k)`).
 /// Weyl-sequence constant (the golden-ratio multiplier) spreads island
@@ -60,6 +149,23 @@ use crate::{EvoError, Result};
 /// stream.
 pub fn island_hash(k: usize) -> u64 {
     (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Deal `members` round-robin by index: island `j` gets members `j`,
+/// `j + k`, … — on a score-sorted population every island starts with a
+/// stratified slice of the quality range.
+pub(crate) fn deal(members: Vec<Individual>, k: usize) -> Vec<Vec<Individual>> {
+    let mut parts: Vec<Vec<Individual>> = (0..k).map(|_| Vec::new()).collect();
+    for (i, m) in members.into_iter().enumerate() {
+        parts[i % k].push(m);
+    }
+    parts
+}
+
+/// Island `j`'s share of a budget `total` split `k` ways: remainder to
+/// the low indices, never below one.
+pub(crate) fn budget_share(total: usize, k: usize, j: usize) -> usize {
+    (total / k + usize::from(j < total % k)).max(1)
 }
 
 /// One observer event of an island-model run. Delivery order is
@@ -163,59 +269,70 @@ impl IslandModel {
     /// An island-model run of the scalar evolutionary algorithm
     /// (Algorithm 1). With `config.islands.count == 1` this is the legacy
     /// [`Evolution`] run, bit for bit.
-    pub fn scalar(evaluator: Evaluator, config: EvoConfig) -> ScalarIslands {
-        ScalarIslands {
-            islands: config.islands,
-            evolution: Evolution::new(evaluator, config),
+    pub fn scalar(evaluator: Evaluator, config: EvoConfig) -> IslandRun<Evolution> {
+        IslandRun {
+            optimizer: Evolution::new(evaluator, config),
         }
     }
 
     /// An island-model NSGA-II run. With `config.islands.count == 1` this
     /// is the legacy [`Nsga2`] run, bit for bit.
-    pub fn nsga(evaluator: Evaluator, config: NsgaConfig) -> NsgaIslands {
-        NsgaIslands {
-            islands: config.islands,
-            nsga: Nsga2::new(evaluator, config),
+    pub fn nsga(evaluator: Evaluator, config: NsgaConfig) -> IslandRun<Nsga2> {
+        IslandRun {
+            optimizer: Nsga2::new(evaluator, config),
         }
     }
 }
 
-/// A configured scalar island run (see [`IslandModel::scalar`]).
-pub struct ScalarIslands {
-    evolution: Evolution,
-    islands: IslandConfig,
+/// A configured island run of either optimizer (see [`IslandModel`]).
+pub struct IslandRun<O> {
+    optimizer: O,
 }
 
-impl ScalarIslands {
-    /// Load and evaluate the initial population (once, for all islands).
-    ///
-    /// # Errors
-    /// Everything [`Evolution::with_named_population`] rejects, plus an
-    /// [`EvoError::InvalidConfig`] when there are fewer members than
-    /// islands.
-    pub fn with_named_population<I>(mut self, items: I) -> Result<Self>
-    where
-        I: IntoIterator,
-        I::Item: Into<(String, SubTable)>,
-    {
-        self.evolution = self.evolution.with_named_population(items)?;
-        let len = self.evolution.population_len();
-        if self.islands.count > len {
-            return Err(EvoError::InvalidConfig(format!(
-                "islands count {} exceeds population size {len}",
-                self.islands.count
-            )));
-        }
-        Ok(self)
-    }
-
+impl IslandRun<Evolution> {
     /// Drop the best fraction of the full (pre-split) population — the
     /// §3.3 robustness experiment.
     ///
     /// # Errors
     /// [`EvoError::EmptyPopulation`] when called before loading.
     pub fn drop_best_fraction(mut self, fraction: f64) -> Result<Self> {
-        self.evolution = self.evolution.drop_best_fraction(fraction)?;
+        self.optimizer = self.optimizer.drop_best_fraction(fraction)?;
+        Ok(self)
+    }
+}
+
+impl IslandRun<Nsga2> {
+    /// Replace the objective set every island minimizes (defaults to the
+    /// canonical `il, dr` pair). Forwarded to [`Nsga2::with_objectives`];
+    /// the merge rule is unchanged — island fronts union under dominance
+    /// over whatever vector the set produces.
+    #[must_use]
+    pub fn with_objectives(mut self, objectives: ObjectiveSet) -> Self {
+        self.optimizer = self.optimizer.with_objectives(objectives);
+        self
+    }
+}
+
+impl<O: IslandMode> IslandRun<O> {
+    /// Load and evaluate the initial population (once, for all islands).
+    ///
+    /// # Errors
+    /// Everything the optimizer's own `with_named_population` rejects,
+    /// plus an [`EvoError::InvalidConfig`] when there are fewer members
+    /// than islands.
+    pub fn with_named_population<I>(mut self, items: I) -> Result<Self>
+    where
+        I: IntoIterator,
+        I::Item: Into<(String, SubTable)>,
+    {
+        self.optimizer = self.optimizer.load(items)?;
+        let count = self.optimizer.islands().count;
+        let len = self.optimizer.population_len();
+        if count > len {
+            return Err(EvoError::InvalidConfig(format!(
+                "islands count {count} exceeds population size {len}"
+            )));
+        }
         Ok(self)
     }
 
@@ -223,7 +340,7 @@ impl ScalarIslands {
     ///
     /// # Panics
     /// Panics when no population was loaded (builder misuse).
-    pub fn run(self) -> EvolutionOutcome {
+    pub fn run(self) -> <O::Runner as EpochRunner>::Outcome {
         self.run_with(|_| {})
     }
 
@@ -232,90 +349,41 @@ impl ScalarIslands {
     ///
     /// # Panics
     /// Panics when no population was loaded (builder misuse).
-    pub fn run_with<F: FnMut(&IslandEvent)>(self, observer: F) -> EvolutionOutcome {
+    pub fn run_with<F: FnMut(&IslandEvent)>(
+        self,
+        observer: F,
+    ) -> <O::Runner as EpochRunner>::Outcome {
         self.run_with_timing(observer).0
     }
 
-    /// [`ScalarIslands::run_with`], also measuring [`IslandTiming`].
+    /// [`IslandRun::run_with`], also measuring [`IslandTiming`].
     ///
     /// # Panics
     /// Panics when no population was loaded (builder misuse).
     pub fn run_with_timing<F: FnMut(&IslandEvent)>(
         self,
         mut observer: F,
-    ) -> (EvolutionOutcome, IslandTiming) {
+    ) -> (<O::Runner as EpochRunner>::Outcome, IslandTiming) {
         let wall_start = Instant::now();
-        let (evaluator, config, population, initial_evaluations) = self.evolution.into_parts();
-        let pop = population.expect("population must be loaded before run()");
+        let islands = self.optimizer.islands();
         // dropping leaders may have shrunk the population below K
-        let k = config.islands.count.min(pop.len()).max(1);
-        if k <= 1 {
-            // single island ≡ the legacy loop: reuse the runner untouched
-            let mut runner = EvolutionRunner::start(
-                Evolution::new(evaluator, config).with_population(pop, initial_evaluations),
-            );
-            let mut obs = |g: &GenerationStats| {
-                observer(&IslandEvent::Generation {
-                    island: 0,
-                    stats: *g,
-                })
-            };
-            while runner.step(&mut obs) {}
-            let outcome = runner.finish();
+        let k = islands.count.min(self.optimizer.population_len()).max(1);
+        if k == 1 {
+            // single island ≡ the legacy loop, streamed as it runs
+            let mut runner = self.optimizer.start();
+            runner.run_chunk(usize::MAX, &mut |s| observer(&O::Runner::event(0, s)));
             let wall = wall_start.elapsed();
-            return (
-                outcome,
-                IslandTiming {
-                    wall,
-                    critical_path: wall,
-                },
-            );
+            let timing = IslandTiming {
+                wall,
+                critical_path: wall,
+            };
+            return (runner.finish(), timing);
         }
 
-        let initial = pop.scatter();
-        let initial_scores = pop.scores().to_vec();
-        let n = pop.len();
-        let members = pop.into_members();
-        // round-robin by sorted index: island j gets members j, j+K, … —
-        // every island starts with a stratified slice of the quality range
-        let mut parts: Vec<Vec<Individual>> = (0..k).map(|_| Vec::new()).collect();
-        for (i, m) in members.into_iter().enumerate() {
-            parts[i % k].push(m);
-        }
-        // equal total budget: the configured iteration count splits across
-        // islands (remainder to the low indices)
-        let total_iters = config.stop.max_iterations;
-        let shares: Vec<usize> = parts.iter().map(Vec::len).collect();
-        let mut runners: Vec<EvolutionRunner> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(j, part)| {
-                let mut island_cfg = config;
-                island_cfg.seed = config.seed ^ island_hash(j);
-                island_cfg.stop.max_iterations =
-                    (total_iters / k + usize::from(j < total_iters % k)).max(1);
-                island_cfg.islands.count = 1;
-                // island 0 absorbs the evaluations of members dropped
-                // before the split so the aggregate matches the legacy
-                // accounting exactly
-                let share = if j == 0 {
-                    initial_evaluations - (shares.iter().sum::<usize>() - shares[0])
-                } else {
-                    shares[j]
-                };
-                EvolutionRunner::start(
-                    Evolution::new(evaluator.clone(), island_cfg)
-                        .with_population(Population::new(part), share),
-                )
-            })
-            .collect();
-
-        let interval = config.islands.migration_interval;
-        let size = config.islands.migration_size;
+        let (mut runners, initial) = self.optimizer.split(k);
         let mut critical_path = Duration::ZERO;
         while runners.iter().any(|r| !r.finished()) {
-            let mut chunks: Vec<(Vec<GenerationStats>, Duration)> = Vec::with_capacity(k);
-            std::thread::scope(|scope| {
+            let chunks: Vec<(Vec<_>, Duration)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = runners
                     .iter_mut()
                     .map(|runner| {
@@ -323,37 +391,33 @@ impl ScalarIslands {
                             let wall_started = Instant::now();
                             let cpu_started = thread_cpu_now();
                             let mut events = Vec::new();
-                            runner.run_chunk(interval, &mut |g: &GenerationStats| events.push(*g));
+                            runner.run_chunk(islands.migration_interval, &mut |s| events.push(*s));
                             (events, busy_time(wall_started, cpu_started))
                         })
                     })
                     .collect();
-                for handle in handles {
-                    chunks.push(handle.join().expect("island thread panicked"));
-                }
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("island thread panicked"))
+                    .collect()
             });
             critical_path += chunks.iter().map(|(_, d)| *d).max().unwrap_or_default();
             for (island, (events, _)) in chunks.iter().enumerate() {
                 for stats in events {
-                    observer(&IslandEvent::Generation {
-                        island,
-                        stats: *stats,
-                    });
+                    observer(&O::Runner::event(island, stats));
                 }
             }
+            let size = islands.migration_size;
             if size > 0 && runners.iter().any(|r| !r.finished()) {
                 // snapshot every export before any import: migration is a
                 // simultaneous exchange, not a chain
                 let exports: Vec<Vec<Individual>> =
-                    runners.iter().map(|r| r.export_best(size)).collect();
+                    runners.iter().map(|r| r.emigrants(size)).collect();
                 for (src, exported) in exports.into_iter().enumerate() {
-                    let dst = match config.islands.topology {
-                        Topology::Ring => (src + 1) % k,
-                    };
                     let emigrants = exported.len();
-                    runners[dst].migrate_in(exported);
+                    runners[(src + 1) % k].immigrate(exported);
                     observer(&IslandEvent::Migration {
-                        generation: runners[src].iterations_run(),
+                        generation: runners[src].generations(),
                         island: src,
                         emigrants,
                     });
@@ -361,285 +425,8 @@ impl ScalarIslands {
             }
         }
 
-        // merge, in island-index order
-        let outcomes: Vec<EvolutionOutcome> =
-            runners.into_iter().map(EvolutionRunner::finish).collect();
-        let final_mutation_rate = outcomes[0].final_mutation_rate;
-        let mut eval_counts = EvalCounts::default();
-        let mut iterations_run = 0usize;
-        let mut archive = ParetoArchive::new();
-        let mut members: Vec<Individual> = Vec::with_capacity(n);
-        for o in outcomes {
-            eval_counts.full += o.eval_counts.full;
-            eval_counts.incremental += o.eval_counts.incremental;
-            iterations_run += o.iterations_run;
-            for point in o.pareto_front {
-                archive.offer(point);
-            }
-            members.extend(o.population.into_members());
-        }
-        let merged = Population::new(members);
-        // the merged trace keeps the endpoints only: the initial full
-        // population and the merged final one (per-island series stream to
-        // the observer as IslandEvent::Generation)
-        let mut trace = Trace::default();
-        trace.record(0, &initial_scores, None, false);
-        trace.record(iterations_run, merged.scores(), None, false);
-        let outcome = EvolutionOutcome {
-            initial,
-            final_points: merged.scatter(),
-            trace,
-            iterations_run,
-            pareto_front: archive.front(),
-            final_mutation_rate,
-            eval_counts,
-            population: merged,
-        };
-        let wall = wall_start.elapsed();
-        (
-            outcome,
-            IslandTiming {
-                wall,
-                critical_path,
-            },
-        )
-    }
-}
-
-/// A configured NSGA-II island run (see [`IslandModel::nsga`]).
-pub struct NsgaIslands {
-    nsga: Nsga2,
-    islands: IslandConfig,
-}
-
-impl NsgaIslands {
-    /// Replace the objective set every island minimizes (defaults to the
-    /// canonical `il, dr` pair). Forwarded to [`Nsga2::with_objectives`];
-    /// the merge rule is unchanged — island fronts union under dominance
-    /// over whatever vector the set produces.
-    #[must_use]
-    pub fn with_objectives(mut self, objectives: ObjectiveSet) -> Self {
-        self.nsga = self.nsga.with_objectives(objectives);
-        self
-    }
-
-    /// Load and evaluate the initial population (once, for all islands).
-    ///
-    /// # Errors
-    /// Everything [`Nsga2::with_named_population`] rejects, plus an
-    /// [`EvoError::InvalidConfig`] when there are fewer members than
-    /// islands.
-    pub fn with_named_population<I>(mut self, items: I) -> Result<Self>
-    where
-        I: IntoIterator,
-        I::Item: Into<(String, SubTable)>,
-    {
-        self.nsga = self.nsga.with_named_population(items)?;
-        let len = self.nsga.population_len();
-        if self.islands.count > len {
-            return Err(EvoError::InvalidConfig(format!(
-                "islands count {} exceeds population size {len}",
-                self.islands.count
-            )));
-        }
-        Ok(self)
-    }
-
-    /// Run to completion.
-    ///
-    /// # Panics
-    /// Panics when no population was loaded (builder misuse).
-    pub fn run(self) -> NsgaOutcome {
-        self.run_with(|_| {})
-    }
-
-    /// Run to completion, streaming [`IslandEvent`]s to `observer`.
-    ///
-    /// # Panics
-    /// Panics when no population was loaded (builder misuse).
-    pub fn run_with<F: FnMut(&IslandEvent)>(self, observer: F) -> NsgaOutcome {
-        self.run_with_timing(observer).0
-    }
-
-    /// [`NsgaIslands::run_with`], also measuring [`IslandTiming`].
-    ///
-    /// # Panics
-    /// Panics when no population was loaded (builder misuse).
-    pub fn run_with_timing<F: FnMut(&IslandEvent)>(
-        self,
-        mut observer: F,
-    ) -> (NsgaOutcome, IslandTiming) {
-        let wall_start = Instant::now();
-        let (evaluator, config, objectives, population) = self.nsga.into_parts();
-        let members = population.expect("population must be loaded before run()");
-        let k = config.islands.count.min(members.len()).max(1);
-        if k <= 1 {
-            let mut runner = NsgaRunner::start(
-                Nsga2::new(evaluator, config)
-                    .with_objectives(objectives)
-                    .with_population(members),
-            );
-            let mut obs = |s: &FrontStats| {
-                observer(&IslandEvent::Front {
-                    island: 0,
-                    stats: *s,
-                })
-            };
-            while runner.step(&mut obs) {}
-            let outcome = runner.finish();
-            let wall = wall_start.elapsed();
-            return (
-                outcome,
-                IslandTiming {
-                    wall,
-                    critical_path: wall,
-                },
-            );
-        }
-
-        let reference = objectives.reference();
-        let initial_front = pareto_front_of(&members);
-        let initial_pts: Vec<ObjectiveVector> =
-            initial_front.iter().map(|p| p.objectives).collect();
-        let initial_hv = hypervolume_vec(&initial_pts, &reference);
-        // round-robin by insertion order
-        let mut parts: Vec<Vec<Individual>> = (0..k).map(|_| Vec::new()).collect();
-        for (i, m) in members.into_iter().enumerate() {
-            parts[i % k].push(m);
-        }
-        // equal total budget: every island runs the full generation count
-        // on its 1/K-sized subpopulation, so the per-generation offspring
-        // batch (λ = subpopulation size when `offspring` is 0) shrinks by
-        // K and the total evaluation count matches the K = 1 run
-        let mut runners: Vec<NsgaRunner> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(j, part)| {
-                let mut island_cfg = config;
-                island_cfg.seed = config.seed ^ island_hash(j);
-                island_cfg.islands.count = 1;
-                if config.offspring > 0 {
-                    island_cfg.offspring =
-                        (config.offspring / k + usize::from(j < config.offspring % k)).max(1);
-                }
-                NsgaRunner::start(
-                    Nsga2::new(evaluator.clone(), island_cfg)
-                        .with_objectives(objectives.clone())
-                        .with_population(part),
-                )
-            })
-            .collect();
-
-        let interval = config.islands.migration_interval;
-        let size = config.islands.migration_size;
-        let mut critical_path = Duration::ZERO;
-        while runners.iter().any(|r| !r.finished()) {
-            let mut chunks: Vec<(Vec<FrontStats>, Duration)> = Vec::with_capacity(k);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = runners
-                    .iter_mut()
-                    .map(|runner| {
-                        scope.spawn(move || {
-                            let wall_started = Instant::now();
-                            let cpu_started = thread_cpu_now();
-                            let mut events = Vec::new();
-                            runner.run_chunk(interval, &mut |s: &FrontStats| events.push(*s));
-                            (events, busy_time(wall_started, cpu_started))
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    chunks.push(handle.join().expect("island thread panicked"));
-                }
-            });
-            critical_path += chunks.iter().map(|(_, d)| *d).max().unwrap_or_default();
-            for (island, (events, _)) in chunks.iter().enumerate() {
-                for stats in events {
-                    observer(&IslandEvent::Front {
-                        island,
-                        stats: *stats,
-                    });
-                }
-            }
-            if size > 0 && runners.iter().any(|r| !r.finished()) {
-                let exports: Vec<Vec<Individual>> =
-                    runners.iter().map(|r| r.export_elite(size)).collect();
-                for (src, exported) in exports.into_iter().enumerate() {
-                    let dst = match config.islands.topology {
-                        Topology::Ring => (src + 1) % k,
-                    };
-                    let emigrants = exported.len();
-                    runners[dst].migrate_in(exported);
-                    observer(&IslandEvent::Migration {
-                        generation: runners[src].generations_run(),
-                        island: src,
-                        emigrants,
-                    });
-                }
-            }
-        }
-
-        // merge, in island-index order
-        let outcomes: Vec<NsgaOutcome> = runners.into_iter().map(NsgaRunner::finish).collect();
-        let mut eval_counts = EvalCounts::default();
-        let mut archive = ParetoArchive::new();
-        let mut union: Vec<Individual> = Vec::new();
-        let mut series: Vec<Vec<f64>> = Vec::new();
-        for o in outcomes {
-            eval_counts.full += o.eval_counts.full;
-            eval_counts.incremental += o.eval_counts.incremental;
-            for point in o.archive_front {
-                archive.offer(point);
-            }
-            union.extend(o.front_members);
-            series.push(o.hypervolume_series);
-        }
-        // the merged front is the non-dominated filter of the union of
-        // island fronts, IL-ascending (ties keep island order)
-        let objs: Vec<ObjectiveVector> = union.iter().map(Individual::objectives).collect();
-        let mut idx = non_dominated_sort_vec(&objs)
-            .into_iter()
-            .next()
-            .unwrap_or_default();
-        idx.sort_by(|&a, &b| {
-            objs[a]
-                .first()
-                .partial_cmp(&objs[b].first())
-                .expect("finite")
-        });
-        let front: Vec<ScatterPoint> = idx.iter().map(|&i| ScatterPoint::of(&union[i])).collect();
-        let front_members: Vec<Individual> = idx.into_iter().map(|i| union[i].clone()).collect();
-        // merged hypervolume series: the initial full-population front,
-        // then the per-generation maximum across islands, with the final
-        // entry recomputed on the merged front
-        let max_len = series.iter().map(Vec::len).max().unwrap_or(1);
-        let mut hv_series = Vec::with_capacity(max_len);
-        hv_series.push(initial_hv);
-        for g in 1..max_len {
-            let best = series
-                .iter()
-                .filter_map(|s| s.get(g))
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            hv_series.push(best);
-        }
-        let merged_pts: Vec<ObjectiveVector> = front.iter().map(|p| p.objectives).collect();
-        let merged_hv = hypervolume_vec(&merged_pts, &reference);
-        if hv_series.len() > 1 {
-            *hv_series.last_mut().expect("non-empty") = merged_hv;
-        }
-        let mut archive_front = archive.front();
-        archive_front.sort_by(|a, b| a.il.partial_cmp(&b.il).expect("finite"));
-        let outcome = NsgaOutcome {
-            front,
-            front_members,
-            initial_front,
-            archive_front,
-            hypervolume_series: hv_series,
-            evaluations: eval_counts.total(),
-            eval_counts,
-            objectives,
-        };
+        let outcomes = runners.into_iter().map(EpochRunner::finish).collect();
+        let outcome = O::merge(initial, outcomes);
         let wall = wall_start.elapsed();
         (
             outcome,
@@ -654,9 +441,10 @@ impl NsgaIslands {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nsga::{hypervolume, non_dominated_points, HV_REFERENCE};
+    use crate::nsga::{hypervolume_vec, non_dominated_points};
+    use crate::telemetry::{EvalCounts, ScatterPoint};
     use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
-    use cdp_metrics::MetricConfig;
+    use cdp_metrics::{MetricConfig, ObjectiveVector};
     use cdp_sdc::{build_population, SuiteConfig};
 
     fn setup(seed: u64, records: usize) -> (Vec<(String, SubTable)>, Evaluator) {
@@ -753,9 +541,38 @@ mod tests {
         assert_eq!(a.pareto_front, b.pareto_front);
         assert_eq!(a.eval_counts, b.eval_counts);
         assert_eq!(ae, be, "event streams must be deterministic");
-        assert!(ae
+        // pinned bits: run-against-run alone would pass a change that
+        // moves K > 1 results the same way on every run
+        let scores: Vec<u64> = a.final_points.iter().map(|p| p.score.to_bits()).collect();
+        assert_eq!(
+            scores,
+            [
+                4629665232564781056,
+                4629946707541491712,
+                4630137289556972885,
+                4630305013801916229,
+                4630327871572454058,
+                4630347139204788418,
+                4630942132068504918,
+                4631161406101701388,
+                4631607912537971565,
+                4631922896440481109,
+                4632277672192376833,
+                4634222027611857286,
+            ]
+        );
+        assert_eq!(
+            a.eval_counts,
+            EvalCounts {
+                full: 12,
+                incremental: 59
+            }
+        );
+        let migrations = ae
             .iter()
-            .any(|e| matches!(e, IslandEvent::Migration { .. })));
+            .filter(|e| matches!(e, IslandEvent::Migration { .. }))
+            .count();
+        assert_eq!(migrations, 4);
     }
 
     #[test]
@@ -783,6 +600,47 @@ mod tests {
         assert_eq!(a.hypervolume_series, b.hypervolume_series);
         assert_eq!(a.eval_counts, b.eval_counts);
         assert_eq!(ae, be, "event streams must be deterministic");
+        // pinned bits, as in the scalar test
+        let front: Vec<(u64, u64)> = a
+            .front
+            .iter()
+            .map(|p| (p.il.to_bits(), p.dr.to_bits()))
+            .collect();
+        let mut expect = vec![(0, 4635894332440008021); 6];
+        expect.extend([
+            (4613741206490859235, 4635601129339267754),
+            (4621983549855482416, 4634878802557515484),
+            (4630431788748188605, 4628898715887131501),
+            (4630471494195942772, 4628814943572634283),
+            (4631304059565428904, 4628433779541671936),
+            (4631361873881374595, 4628228537371153749),
+        ]);
+        assert_eq!(front, expect);
+        let hv: Vec<u64> = a.hypervolume_series.iter().map(|h| h.to_bits()).collect();
+        assert_eq!(
+            hv,
+            [
+                4663110211858128678,
+                4662642618075832480,
+                4662712266284071520,
+                4662530868381849348,
+                4662729504377829844,
+                4662155314712183791,
+                4662714732757126421,
+            ]
+        );
+        assert_eq!(
+            a.eval_counts,
+            EvalCounts {
+                full: 12,
+                incremental: 72
+            }
+        );
+        let migrations = ae
+            .iter()
+            .filter(|e| matches!(e, IslandEvent::Migration { .. }))
+            .count();
+        assert_eq!(migrations, 6);
     }
 
     #[test]
@@ -849,8 +707,8 @@ mod tests {
         }
         assert_eq!(non_dominated_points(&out.front), out.front);
         // the final hypervolume entry is the merged front's
-        let pts: Vec<(f64, f64)> = out.front.iter().map(|p| (p.il, p.dr)).collect();
-        let expect = hypervolume(&pts, HV_REFERENCE);
+        let pts: Vec<ObjectiveVector> = out.front.iter().map(|p| p.objectives).collect();
+        let expect = hypervolume_vec(&pts, &ObjectiveVector::pair(100.0, 100.0));
         assert_eq!(*out.hypervolume_series.last().unwrap(), expect);
     }
 
@@ -911,7 +769,6 @@ mod tests {
                 count: k,
                 migration_interval: interval,
                 migration_size: size,
-                ..IslandConfig::default()
             };
             let iters = 12;
             let out = IslandModel::scalar(ev, scalar_cfg(seed, iters, islands))

@@ -18,10 +18,9 @@
 //! Since the objective-vector refactor, selection is generic over an
 //! [`ObjectiveSet`]: dominance, crowding, and hypervolume all run over
 //! N-dimensional [`ObjectiveVector`]s ([`non_dominated_sort_vec`],
-//! [`crowding_distance_vec`], [`hypervolume_vec`]). The historical
-//! 2-objective tuple entry points remain as thin wrappers, and the
-//! canonical `il,dr` set reproduces the hard-wired pair bit for bit —
-//! same comparisons, same RNG stream, same front.
+//! [`crowding_distance_vec`], [`hypervolume_vec`]), and the canonical
+//! `il,dr` set reproduces the hard-wired pair bit for bit — same
+//! comparisons, same RNG stream, same front.
 
 use cdp_dataset::SubTable;
 use cdp_metrics::{
@@ -31,7 +30,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::archive::ParetoArchive;
+use crate::config::IslandConfig;
 use crate::individual::Individual;
+use crate::islands::{budget_share, deal, island_hash, EpochRunner, IslandEvent, IslandMode};
 use crate::operators::{crossover, mutate};
 use crate::parallel::{evaluate_all, evaluate_tasks, EvalTask};
 use crate::telemetry::{EvalCounts, ScatterPoint};
@@ -144,15 +145,6 @@ pub fn non_dominated_sort_vec(objs: &[ObjectiveVector]) -> Vec<Vec<usize>> {
     fronts
 }
 
-/// The historical 2-objective entry point of [`non_dominated_sort_vec`].
-pub fn non_dominated_sort(objs: &[(f64, f64)]) -> Vec<Vec<usize>> {
-    let objs: Vec<ObjectiveVector> = objs
-        .iter()
-        .map(|&(il, dr)| ObjectiveVector::pair(il, dr))
-        .collect();
-    non_dominated_sort_vec(&objs)
-}
-
 /// Crowding distance of each member of one front (aligned with `front`'s
 /// order), over N-dim objective vectors. Boundary points get
 /// `f64::INFINITY`; interior points the sum of normalized neighbour gaps
@@ -190,45 +182,11 @@ pub fn crowding_distance_vec(objs: &[ObjectiveVector], front: &[usize]) -> Vec<f
     dist
 }
 
-/// The historical 2-objective entry point of [`crowding_distance_vec`].
-pub fn crowding_distance(objs: &[(f64, f64)], front: &[usize]) -> Vec<f64> {
-    let objs: Vec<ObjectiveVector> = objs
-        .iter()
-        .map(|&(il, dr)| ObjectiveVector::pair(il, dr))
-        .collect();
-    crowding_distance_vec(&objs, front)
-}
-
-/// 2-D hypervolume (area dominated between the front and a reference point,
-/// minimization): the standard quality indicator for comparing fronts.
-/// Points at or beyond the reference contribute nothing. This sweep is the
-/// exact N=2 kernel of [`hypervolume_vec`] — the vector path delegates
-/// here, so 2-objective hypervolumes are bit-identical either way.
-pub fn hypervolume(points: &[(f64, f64)], reference: (f64, f64)) -> f64 {
-    let mut front: Vec<(f64, f64)> = points
-        .iter()
-        .copied()
-        .filter(|&(x, y)| x < reference.0 && y < reference.1)
-        .collect();
-    if front.is_empty() {
-        return 0.0;
-    }
-    front.sort_by(|a, b| a.partial_cmp(b).expect("finite objectives"));
-    let mut hv = 0.0;
-    let mut prev_y = reference.1;
-    for (x, y) in front {
-        if y < prev_y {
-            hv += (reference.0 - x) * (prev_y - y);
-            prev_y = y;
-        }
-    }
-    hv
-}
-
-/// N-D hypervolume via recursive slicing: sweep the first objective
-/// ascending and integrate the (N−1)-D hypervolume of the points active in
-/// each slab. N=2 delegates to the exact [`hypervolume`] sweep (same
-/// floats, same additions); N=1 is the span to the reference.
+/// N-D hypervolume (the volume dominated between the front and a
+/// reference point, minimization) via recursive slicing: sweep the first
+/// objective ascending and integrate the (N−1)-D hypervolume of the points
+/// active in each slab. N=2 is an exact area sweep, N=1 the span to the
+/// reference. Points at or beyond the reference contribute nothing.
 pub fn hypervolume_vec(points: &[ObjectiveVector], reference: &ObjectiveVector) -> f64 {
     let d = reference.len();
     let inside: Vec<Vec<f64>> = points
@@ -255,8 +213,19 @@ fn hv_slices(points: &[Vec<f64>], reference: &[f64]) -> f64 {
             reference[0] - best
         }
         2 => {
-            let pts: Vec<(f64, f64)> = points.iter().map(|p| (p[0], p[1])).collect();
-            hypervolume(&pts, (reference[0], reference[1]))
+            // area sweep, x ascending: each point below the running y
+            // floor adds the strip between it and the floor
+            let mut front: Vec<(f64, f64)> = points.iter().map(|p| (p[0], p[1])).collect();
+            front.sort_by(|a, b| a.partial_cmp(b).expect("finite objectives"));
+            let mut hv = 0.0;
+            let mut prev_y = reference[1];
+            for (x, y) in front {
+                if y < prev_y {
+                    hv += (reference[0] - x) * (prev_y - y);
+                    prev_y = y;
+                }
+            }
+            hv
         }
         _ => {
             let mut order: Vec<usize> = (0..points.len()).collect();
@@ -339,7 +308,7 @@ pub struct FrontStats {
     /// Size of the population's non-dominated front after the generation.
     pub front_size: usize,
     /// Hypervolume of that front w.r.t. the objective set's reference
-    /// point ([`HV_REFERENCE`] for the canonical pair).
+    /// point (100 on every axis).
     pub hypervolume: f64,
     /// The front's ideal point: the per-objective minimum over the front
     /// — the vector observers stream alongside the scalar summary.
@@ -374,9 +343,6 @@ pub struct NsgaOutcome {
     /// extended via [`Nsga2::with_objectives`]).
     pub objectives: ObjectiveSet,
 }
-
-/// The hypervolume reference point: measures live in `[0, 100]²`.
-pub const HV_REFERENCE: (f64, f64) = (100.0, 100.0);
 
 /// A configured NSGA-II run over protections of one file.
 pub struct Nsga2 {
@@ -473,34 +439,9 @@ impl Nsga2 {
     /// # Panics
     /// Panics when no population was loaded (builder misuse).
     pub fn run_with<F: FnMut(&FrontStats)>(self, mut observer: F) -> NsgaOutcome {
-        let mut runner = NsgaRunner::start(self);
-        while runner.step(&mut observer) {}
+        let mut runner = self.start();
+        runner.run_chunk(usize::MAX, &mut observer);
         runner.finish()
-    }
-
-    /// Bind an already-evaluated population (see
-    /// [`crate::algorithm::Evolution::with_population`]): the island
-    /// scheduler evaluates once and partitions the members.
-    pub(crate) fn with_population(mut self, members: Vec<Individual>) -> Self {
-        self.population = Some(members);
-        self
-    }
-
-    /// Size of the loaded population (0 before loading).
-    pub(crate) fn population_len(&self) -> usize {
-        self.population.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Disassemble for the island scheduler.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (Evaluator, NsgaConfig, ObjectiveSet, Option<Vec<Individual>>) {
-        (
-            self.evaluator,
-            self.config,
-            self.objectives,
-            self.population,
-        )
     }
 }
 
@@ -518,73 +459,54 @@ fn assign_objectives(set: &ObjectiveSet, evaluator: &Evaluator, ind: &mut Indivi
     ind.set_objectives(vector);
 }
 
-/// The resumable state of a running NSGA-II loop, factored out of the
-/// one-shot [`Nsga2::run_with`] so the island scheduler
-/// ([`crate::islands`]) can advance a run in bounded generation chunks,
-/// exchange elites at migration barriers, and finish it later. `start` +
-/// `while step()` + `finish` replays the exact RNG stream of the
-/// historical one-shot loop.
-pub(crate) struct NsgaRunner {
-    nsga: Nsga2,
-    pop: Vec<Individual>,
-    n: usize,
-    lambda: usize,
-    rng: StdRng,
-    eval_counts: EvalCounts,
-    archive: ParetoArchive,
-    initial_front: Vec<ScatterPoint>,
-    hv_series: Vec<f64>,
-    gen: usize,
-    halted: bool,
+use runner::NsgaRunner;
+
+/// Home of [`NsgaRunner`]: a `pub` type in a private module, so the
+/// island scheduler's traits can name it while it stays out of the public
+/// API.
+mod runner {
+    use super::*;
+
+    /// The resumable state of a running NSGA-II loop, factored out of the
+    /// one-shot [`Nsga2::run_with`] so the island scheduler
+    /// ([`crate::islands`]) can advance a run in bounded generation
+    /// chunks, exchange elites at migration barriers, and finish it later.
+    /// `start` + `run_chunk` + `finish` replays the exact RNG stream of the
+    /// historical one-shot loop.
+    pub struct NsgaRunner {
+        pub(super) nsga: Nsga2,
+        pub(super) pop: Vec<Individual>,
+        pub(super) n: usize,
+        pub(super) lambda: usize,
+        pub(super) rng: StdRng,
+        pub(super) eval_counts: EvalCounts,
+        pub(super) archive: ParetoArchive,
+        pub(super) initial_front: Vec<ScatterPoint>,
+        pub(super) hv_series: Vec<f64>,
+        pub(super) gen: usize,
+        pub(super) halted: bool,
+    }
 }
 
-impl NsgaRunner {
-    /// Snapshot the initial population and seed the loop state.
-    ///
-    /// # Panics
-    /// Panics when no population was loaded (builder misuse).
-    pub(crate) fn start(mut nsga: Nsga2) -> NsgaRunner {
-        let pop = nsga
-            .population
-            .take()
-            .expect("population must be loaded before run()");
-        let cfg = nsga.config;
-        let n = pop.len();
-        let lambda = if cfg.offspring == 0 { n } else { cfg.offspring };
-        let rng = StdRng::seed_from_u64(cfg.seed ^ 0x0045_A6A2);
-        let eval_counts = EvalCounts {
-            full: n,
-            incremental: 0,
-        };
-        let mut archive = ParetoArchive::new();
-        for ind in &pop {
-            archive.offer(ScatterPoint::of(ind));
-        }
-        let initial_front = pareto_front_of(&pop);
-        let hv_series = vec![front_metrics(&pop, &nsga.objectives.reference()).1];
-        NsgaRunner {
-            nsga,
-            pop,
-            n,
-            lambda,
-            rng,
-            eval_counts,
-            archive,
-            initial_front,
-            hv_series,
-            gen: 0,
-            halted: false,
+impl EpochRunner for NsgaRunner {
+    type Stats = FrontStats;
+    type Outcome = NsgaOutcome;
+
+    fn event(island: usize, stats: &FrontStats) -> IslandEvent {
+        IslandEvent::Front {
+            island,
+            stats: *stats,
         }
     }
 
     /// Whether every generation ran (or the schema degenerated).
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.halted || self.gen >= self.nsga.config.generations
     }
 
     /// Execute one generation unless the run is finished; returns whether
     /// a generation ran.
-    pub(crate) fn step<F: FnMut(&FrontStats)>(&mut self, observer: &mut F) -> bool {
+    fn step_epoch<F: FnMut(&FrontStats)>(&mut self, observer: &mut F) -> bool {
         if self.finished() {
             return false;
         }
@@ -705,27 +627,14 @@ impl NsgaRunner {
         true
     }
 
-    /// Run at most `max` generations; returns how many actually ran.
-    pub(crate) fn run_chunk<F: FnMut(&FrontStats)>(
-        &mut self,
-        max: usize,
-        observer: &mut F,
-    ) -> usize {
-        let mut ran = 0;
-        while ran < max && self.step(observer) {
-            ran += 1;
-        }
-        ran
-    }
-
     /// Generations executed so far.
-    pub(crate) fn generations_run(&self) -> usize {
+    fn generations(&self) -> usize {
         self.gen
     }
 
     /// Clones of the `count` best members by (rank ascending, crowding
     /// descending, index ascending) — the deterministic elite.
-    pub(crate) fn export_elite(&self, count: usize) -> Vec<Individual> {
+    fn emigrants(&self, count: usize) -> Vec<Individual> {
         let (rank_of, crowd_of) = rank_and_crowd(&self.pop);
         let mut order: Vec<usize> = (0..self.pop.len()).collect();
         order.sort_by(|&a, &b| {
@@ -748,7 +657,7 @@ impl NsgaRunner {
     /// Replace the worst members (rank descending, crowding ascending,
     /// index descending — the deterministic anti-elite) with `immigrants`;
     /// at most `len - 1` are replaced so a native always survives.
-    pub(crate) fn migrate_in(&mut self, immigrants: Vec<Individual>) {
+    fn immigrate(&mut self, immigrants: Vec<Individual>) {
         if immigrants.is_empty() {
             return;
         }
@@ -773,24 +682,180 @@ impl NsgaRunner {
     }
 
     /// Assemble the outcome; identical to what the one-shot loop returned.
-    pub(crate) fn finish(self) -> NsgaOutcome {
-        let mut archive_front = self.archive.front();
-        archive_front.sort_by(|a, b| a.il.partial_cmp(&b.il).expect("finite"));
-        let front_idx = front_indices(&self.pop);
+    fn finish(self) -> NsgaOutcome {
+        let (front, front_members) = front_of(&self.pop);
         NsgaOutcome {
-            front: front_idx
-                .iter()
-                .map(|&i| ScatterPoint::of(&self.pop[i]))
-                .collect(),
-            front_members: front_idx.into_iter().map(|i| self.pop[i].clone()).collect(),
+            front,
+            front_members,
             initial_front: self.initial_front,
-            archive_front,
+            archive_front: sorted_front(&self.archive),
             hypervolume_series: self.hv_series,
             evaluations: self.eval_counts.total(),
             eval_counts: self.eval_counts,
             objectives: self.nsga.objectives,
         }
     }
+}
+
+/// NSGA-II islands split the offspring batch; the merge filters the union
+/// of island fronts down to its non-dominated subset.
+impl IslandMode for Nsga2 {
+    type Runner = NsgaRunner;
+    /// The full initial population's front and its hypervolume.
+    type Initial = (Vec<ScatterPoint>, f64);
+
+    fn islands(&self) -> IslandConfig {
+        self.config.islands
+    }
+
+    fn load<I>(self, items: I) -> Result<Self>
+    where
+        I: IntoIterator,
+        I::Item: Into<(String, SubTable)>,
+    {
+        self.with_named_population(items)
+    }
+
+    fn population_len(&self) -> usize {
+        self.population.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Snapshot the initial population and seed the loop state.
+    ///
+    /// # Panics
+    /// Panics when no population was loaded (misuse of the API).
+    fn start(mut self) -> NsgaRunner {
+        let pop = self
+            .population
+            .take()
+            .expect("population must be loaded before run()");
+        let cfg = self.config;
+        let n = pop.len();
+        let lambda = if cfg.offspring == 0 { n } else { cfg.offspring };
+        let rng = StdRng::seed_from_u64(cfg.seed ^ 0x0045_A6A2);
+        let eval_counts = EvalCounts {
+            full: n,
+            incremental: 0,
+        };
+        let mut archive = ParetoArchive::new();
+        for ind in &pop {
+            archive.offer(ScatterPoint::of(ind));
+        }
+        let initial_front = pareto_front_of(&pop);
+        let hv_series = vec![front_metrics(&pop, &self.objectives.reference()).1];
+        NsgaRunner {
+            nsga: self,
+            pop,
+            n,
+            lambda,
+            rng,
+            eval_counts,
+            archive,
+            initial_front,
+            hv_series,
+            gen: 0,
+            halted: false,
+        }
+    }
+
+    /// Every island runs the full generation count on its 1/K-sized
+    /// subpopulation, so the per-generation offspring batch (λ =
+    /// subpopulation size when `offspring` is 0) shrinks by K and the
+    /// total evaluation count matches the K = 1 run.
+    fn split(mut self, k: usize) -> (Vec<NsgaRunner>, Self::Initial) {
+        let members = self
+            .population
+            .take()
+            .expect("population must be loaded before run()");
+        let initial_front = pareto_front_of(&members);
+        let points: Vec<ObjectiveVector> = initial_front.iter().map(|p| p.objectives).collect();
+        let initial_hv = hypervolume_vec(&points, &self.objectives.reference());
+        let runners = deal(members, k)
+            .into_iter()
+            .enumerate()
+            .map(|(j, part)| {
+                let mut config = self.config;
+                config.seed ^= island_hash(j);
+                if config.offspring > 0 {
+                    config.offspring = budget_share(self.config.offspring, k, j);
+                }
+                Nsga2 {
+                    evaluator: self.evaluator.clone(),
+                    config,
+                    objectives: self.objectives.clone(),
+                    population: Some(part),
+                }
+                .start()
+            })
+            .collect();
+        (runners, (initial_front, initial_hv))
+    }
+
+    fn merge(
+        (initial_front, initial_hv): Self::Initial,
+        outcomes: Vec<NsgaOutcome>,
+    ) -> NsgaOutcome {
+        let objectives = outcomes[0].objectives.clone();
+        let mut eval_counts = EvalCounts::default();
+        let mut archive = ParetoArchive::new();
+        let mut union: Vec<Individual> = Vec::new();
+        let mut series: Vec<Vec<f64>> = Vec::new();
+        for o in outcomes {
+            eval_counts.full += o.eval_counts.full;
+            eval_counts.incremental += o.eval_counts.incremental;
+            for point in o.archive_front {
+                archive.offer(point);
+            }
+            union.extend(o.front_members);
+            series.push(o.hypervolume_series);
+        }
+        // ties in the union keep island order
+        let (front, front_members) = front_of(&union);
+        // merged hypervolume series: the initial full-population front,
+        // then the per-generation maximum across islands, with the final
+        // entry recomputed on the merged front
+        let max_len = series.iter().map(Vec::len).max().unwrap_or(1);
+        let mut hv_series = Vec::with_capacity(max_len);
+        hv_series.push(initial_hv);
+        for g in 1..max_len {
+            let best = series
+                .iter()
+                .filter_map(|s| s.get(g))
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max);
+            hv_series.push(best);
+        }
+        if hv_series.len() > 1 {
+            let points: Vec<ObjectiveVector> = front.iter().map(|p| p.objectives).collect();
+            *hv_series.last_mut().expect("non-empty") =
+                hypervolume_vec(&points, &objectives.reference());
+        }
+        NsgaOutcome {
+            front,
+            front_members,
+            initial_front,
+            archive_front: sorted_front(&archive),
+            hypervolume_series: hv_series,
+            evaluations: eval_counts.total(),
+            eval_counts,
+            objectives,
+        }
+    }
+}
+
+/// A population's non-dominated front, IL-ascending: the scatter points
+/// and the members they came from.
+fn front_of(pop: &[Individual]) -> (Vec<ScatterPoint>, Vec<Individual>) {
+    let idx = front_indices(pop);
+    let points = idx.iter().map(|&i| ScatterPoint::of(&pop[i])).collect();
+    (points, idx.into_iter().map(|i| pop[i].clone()).collect())
+}
+
+/// An archive's front, IL-ascending.
+fn sorted_front(archive: &ParetoArchive) -> Vec<ScatterPoint> {
+    let mut front = archive.front();
+    front.sort_by(|a, b| a.il.partial_cmp(&b.il).expect("finite"));
+    front
 }
 
 /// Size and hypervolume of a population's non-dominated front.
@@ -897,11 +962,22 @@ mod tests {
     use cdp_metrics::MetricConfig;
     use cdp_sdc::{build_population, SuiteConfig};
 
+    fn pairs(points: &[(f64, f64)]) -> Vec<ObjectiveVector> {
+        points
+            .iter()
+            .map(|&(a, b)| ObjectiveVector::pair(a, b))
+            .collect()
+    }
+
+    fn hv2(points: &[(f64, f64)]) -> f64 {
+        hypervolume_vec(&pairs(points), &ObjectiveVector::pair(100.0, 100.0))
+    }
+
     #[test]
     fn sort_splits_fronts_correctly() {
         // (1,1) dominates everything; (2,3) and (3,2) incomparable; (4,4) last
         let objs = vec![(2.0, 3.0), (1.0, 1.0), (3.0, 2.0), (4.0, 4.0)];
-        let fronts = non_dominated_sort(&objs);
+        let fronts = non_dominated_sort_vec(&pairs(&objs));
         assert_eq!(fronts.len(), 3);
         assert_eq!(fronts[0], vec![1]);
         assert_eq!(
@@ -918,7 +994,7 @@ mod tests {
     #[test]
     fn sort_of_identical_points_is_one_front() {
         let objs = vec![(1.0, 1.0); 5];
-        let fronts = non_dominated_sort(&objs);
+        let fronts = non_dominated_sort_vec(&pairs(&objs));
         assert_eq!(fronts.len(), 1);
         assert_eq!(fronts[0].len(), 5);
     }
@@ -927,7 +1003,7 @@ mod tests {
     fn crowding_boundaries_are_infinite() {
         let objs = vec![(1.0, 5.0), (2.0, 4.0), (3.0, 3.0), (4.0, 2.0), (5.0, 1.0)];
         let front: Vec<usize> = (0..5).collect();
-        let d = crowding_distance(&objs, &front);
+        let d = crowding_distance_vec(&pairs(&objs), &front);
         assert!(d[0].is_infinite());
         assert!(d[4].is_infinite());
         for x in &d[1..4] {
@@ -941,43 +1017,40 @@ mod tests {
     #[test]
     fn crowding_small_fronts_all_infinite() {
         let objs = vec![(1.0, 2.0), (2.0, 1.0)];
-        let d = crowding_distance(&objs, &[0, 1]);
+        let d = crowding_distance_vec(&pairs(&objs), &[0, 1]);
         assert!(d.iter().all(|x| x.is_infinite()));
     }
 
     #[test]
     fn hypervolume_basics() {
-        let r = (100.0, 100.0);
-        assert_eq!(hypervolume(&[], r), 0.0);
-        assert_eq!(hypervolume(&[(100.0, 0.0)], r), 0.0); // at reference edge
-        assert!((hypervolume(&[(0.0, 0.0)], r) - 10_000.0).abs() < 1e-9);
+        assert_eq!(hv2(&[]), 0.0);
+        assert_eq!(hv2(&[(100.0, 0.0)]), 0.0); // at reference edge
+        assert!((hv2(&[(0.0, 0.0)]) - 10_000.0).abs() < 1e-9);
         // two incomparable points: union of rectangles
-        let hv = hypervolume(&[(20.0, 40.0), (40.0, 20.0)], r);
+        let hv = hv2(&[(20.0, 40.0), (40.0, 20.0)]);
         // (80*60) + (60*20) = 4800 + 1200
         assert!((hv - 6000.0).abs() < 1e-9);
         // dominated point adds nothing
-        let hv2 = hypervolume(&[(20.0, 40.0), (40.0, 20.0), (50.0, 50.0)], r);
-        assert!((hv2 - hv).abs() < 1e-9);
+        let with_dominated = hv2(&[(20.0, 40.0), (40.0, 20.0), (50.0, 50.0)]);
+        assert!((with_dominated - hv).abs() < 1e-9);
     }
 
     #[test]
     fn hypervolume_grows_with_better_points() {
-        let r = (100.0, 100.0);
-        let worse = hypervolume(&[(30.0, 30.0)], r);
-        let better = hypervolume(&[(20.0, 20.0)], r);
+        let worse = hv2(&[(30.0, 30.0)]);
+        let better = hv2(&[(20.0, 20.0)]);
         assert!(better > worse);
     }
 
     #[test]
     fn hypervolume_vec_matches_the_2d_sweep_bitwise() {
         let pts = [(20.0, 40.0), (40.0, 20.0), (50.0, 50.0), (3.25, 97.5)];
-        let tuple = hypervolume(&pts, (100.0, 100.0));
-        let vecs: Vec<ObjectiveVector> = pts
-            .iter()
-            .map(|&(a, b)| ObjectiveVector::pair(a, b))
-            .collect();
-        let vec = hypervolume_vec(&vecs, &ObjectiveVector::pair(100.0, 100.0));
-        assert_eq!(tuple.to_bits(), vec.to_bits());
+        // the strips the x-ascending sweep adds, in its order; (50, 50)
+        // lies above the floor and adds nothing
+        let sweep: f64 = (100.0 - 3.25) * (100.0 - 97.5)
+            + (100.0 - 20.0) * (97.5 - 40.0)
+            + (100.0 - 40.0) * (40.0 - 20.0);
+        assert_eq!(sweep.to_bits(), hv2(&pts).to_bits());
     }
 
     #[test]
@@ -1092,8 +1165,8 @@ mod tests {
         let out = small_run(12, 8);
         let initial: Vec<(f64, f64)> = out.initial_front.iter().map(|p| (p.il, p.dr)).collect();
         let archive: Vec<(f64, f64)> = out.archive_front.iter().map(|p| (p.il, p.dr)).collect();
-        let hv_initial = hypervolume(&initial, HV_REFERENCE);
-        let hv_archive = hypervolume(&archive, HV_REFERENCE);
+        let hv_initial = hv2(&initial);
+        let hv_archive = hv2(&archive);
         assert!(
             hv_archive >= hv_initial - 1e-9,
             "archive {hv_archive} < initial {hv_initial}"

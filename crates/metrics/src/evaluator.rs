@@ -41,8 +41,8 @@
 //!    are `assert_eq!`-identical to [`LinkageMode::Pairs`] — see
 //!    [`crate::linkage`] for the exactness argument.
 //!
-//! [`Evaluator::reassess_mutation`] remains as the single-cell
-//! convenience wrapper over the patch engine.
+//! A single-cell mutation is the one-cell patch
+//! `Patch::cell(row, k, old)` handed to [`Evaluator::reassess`].
 
 use std::collections::HashMap;
 
@@ -344,7 +344,7 @@ impl Evaluator {
     }
 
     /// Full assessment, retaining the sufficient statistics for
-    /// [`Evaluator::reassess_mutation`].
+    /// [`Evaluator::reassess`].
     pub fn assess(&self, masked: &SubTable) -> EvalState {
         debug_assert!(self.prep.check_compatible(masked).is_ok());
         let prep = &self.prep;
@@ -402,28 +402,6 @@ impl Evaluator {
             prl_credits: prl_cr,
             rsrl_credits: rsrl_cr,
         }
-    }
-
-    /// Re-assess after a single-cell mutation: the single-cell wrapper
-    /// over [`Evaluator::reassess`].
-    ///
-    /// `masked` must already contain the new value at `(row, k)`; `old` is
-    /// the value it replaced. A no-op mutation (`new == old`) short-circuits
-    /// before any patch machinery runs and hands back a plain copy of
-    /// `prev` (use [`Evaluator::reassess_into`] to avoid even that copy's
-    /// allocations via scratch reuse).
-    pub fn reassess_mutation(
-        &self,
-        prev: &EvalState,
-        masked: &SubTable,
-        row: usize,
-        k: usize,
-        old: Code,
-    ) -> EvalState {
-        if masked.get(row, k) == old {
-            return prev.clone();
-        }
-        self.reassess(prev, masked, &Patch::cell(row, k, old))
     }
 
     /// Re-assess after an arbitrary set of cell changes.
@@ -838,7 +816,7 @@ mod tests {
             let c = ev.prepared().cats(k) as u16;
             let old = m.get(row, k);
             m.set(row, k, rng.gen_range(0..c));
-            state = ev.reassess_mutation(&state, &m, row, k, old);
+            state = ev.reassess(&state, &m, &Patch::cell(row, k, old));
         }
         let full = ev.assess(&m);
         // every measure is bit-identical after a 25-mutation chain
@@ -857,7 +835,7 @@ mod tests {
             let c = ev.prepared().cats(k) as u16;
             let old = m.get(row, k);
             m.set(row, k, rng.gen_range(0..c));
-            state = ev.reassess_mutation(&state, &m, row, k, old);
+            state = ev.reassess(&state, &m, &Patch::cell(row, k, old));
         }
         let full = ev.assess(&m);
         // PRL refits from the patched census and RSRL re-credits every
@@ -874,7 +852,7 @@ mod tests {
     fn noop_mutation_changes_nothing() {
         let (ev, s) = setup(60);
         let state = ev.assess(&s);
-        let same = ev.reassess_mutation(&state, &s, 5, 1, s.get(5, 1));
+        let same = ev.reassess(&state, &s, &Patch::cell(5, 1, s.get(5, 1)));
         assert_eq!(state.assessment, same.assessment);
     }
 

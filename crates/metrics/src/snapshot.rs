@@ -625,6 +625,7 @@ pub fn inspect(path: &Path) -> std::result::Result<SnapshotInfo, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patch::Patch;
     use cdp_dataset::generators::{DatasetKind, GeneratorConfig};
 
     fn original(n: usize) -> SubTable {
@@ -668,7 +669,7 @@ mod tests {
         let st = loaded.assess(&m2);
         let old = m2.get(3, 0);
         m2.set(3, 0, (old + 2) % loaded.prepared().cats(0) as Code);
-        let patched = loaded.reassess_mutation(&st, &m2, 3, 0, old);
+        let patched = loaded.reassess(&st, &m2, &Patch::cell(3, 0, old));
         assert_eq!(patched.assessment, ev.assess(&m2).assessment);
     }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use cdp_dataset::{AttrKind, Attribute, PatternIndex, Schema, SubTable};
 use cdp_metrics::linkage::{dbrl_credit, dbrl_credit_blocked, dbrl_credits_blocked};
-use cdp_metrics::{Evaluator, LinkageMode, MetricConfig, PreparedOriginal};
+use cdp_metrics::{Evaluator, LinkageMode, MetricConfig, Patch, PreparedOriginal};
 
 fn schema() -> Arc<Schema> {
     Arc::new(
@@ -249,7 +249,7 @@ fn incremental_path_matches_full_exactly() {
     let orig = original();
     let state0 = ev.assess(&orig);
     let m = masked();
-    let state1 = ev.reassess_mutation(&state0, &m, 0, 0, 0);
+    let state1 = ev.reassess(&state0, &m, &Patch::cell(0, 0, 0));
     let full = ev.assess(&m);
     assert_eq!(
         state1.assessment, full.assessment,

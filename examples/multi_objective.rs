@@ -15,13 +15,16 @@
 //! cargo run --release --example multi_objective
 //! ```
 
-use cdp::core::nsga::{hypervolume, HV_REFERENCE};
+use cdp::core::nsga::hypervolume_vec;
 use cdp::core::ScatterPoint;
 use cdp::prelude::*;
 
 fn hv(points: &[ScatterPoint]) -> f64 {
-    let objs: Vec<(f64, f64)> = points.iter().map(|p| (p.il, p.dr)).collect();
-    hypervolume(&objs, HV_REFERENCE)
+    let objs: Vec<ObjectiveVector> = points
+        .iter()
+        .map(|p| ObjectiveVector::pair(p.il, p.dr))
+        .collect();
+    hypervolume_vec(&objs, &ObjectiveVector::pair(100.0, 100.0))
 }
 
 fn main() {

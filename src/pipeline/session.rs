@@ -348,6 +348,54 @@ mod tests {
         assert_eq!(*tags.last().unwrap(), "finished");
     }
 
+    #[test]
+    fn event_kinds_follow_the_configured_island_count() {
+        let tags_of = |job: &ProtectionJob| {
+            let mut tags = Vec::new();
+            Session::new()
+                .run_with(job, |e| tags.push(tag_of(e)))
+                .unwrap();
+            tags
+        };
+        let island_kinds = ["island-generation", "island-front", "migration"];
+        // one island: the legacy kinds only, in both modes
+        let scalar = tags_of(&tiny_job(DatasetKind::German, 5, 6));
+        let nsga = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .nsga()
+            .iterations(3)
+            .seed(5)
+            .build()
+            .unwrap();
+        let nsga = tags_of(&nsga);
+        for tags in [&scalar, &nsga] {
+            assert!(tags.iter().all(|t| !island_kinds.contains(t)));
+        }
+        assert_eq!(scalar.iter().filter(|t| **t == "generation").count(), 6);
+        assert_eq!(nsga.iter().filter(|t| **t == "front").count(), 3);
+        // three islands configured, but dropping leaders leaves a single
+        // member: the run is single-population, the events per-island
+        let dropped = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .iterations(6)
+            .islands(3)
+            .drop_best_fraction(0.99)
+            .seed(5)
+            .build()
+            .unwrap();
+        let dropped = tags_of(&dropped);
+        assert!(!dropped.contains(&"generation"));
+        assert_eq!(
+            dropped
+                .iter()
+                .filter(|t| **t == "island-generation")
+                .count(),
+            6
+        );
+    }
+
     fn snap_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
             .join("cdp_session_snapshot_tests")

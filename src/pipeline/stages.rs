@@ -2,8 +2,8 @@
 //! event stream it emits.
 
 use cdp_core::{
-    evaluate_all, EvalCounts, Evolution, GenerationStats, IslandEvent, IslandModel, Nsga2,
-    ObjectiveVector, ScatterPoint,
+    evaluate_all, EvalCounts, GenerationStats, IslandEvent, IslandModel, ObjectiveVector,
+    ScatterPoint,
 };
 use cdp_dataset::{Attribute, Code, SubTable};
 use cdp_privacy::PrivacyReport;
@@ -17,7 +17,7 @@ use super::{PipelineError, Result};
 ///
 /// One stream serves every consumer — CLI progress lines, bench telemetry,
 /// the `cdp serve` push channel — instead of each re-wiring
-/// [`Evolution::run_with`] by hand.
+/// [`IslandModel`] observers by hand.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobEvent {
     /// The data source resolved into a concrete table.
@@ -44,11 +44,11 @@ pub enum JobEvent {
         /// Number of protections entering the run.
         size: usize,
     },
-    /// One evolutionary iteration finished (forwarded from
-    /// [`Evolution::run_with`]; scalar mode).
+    /// One evolutionary iteration finished (scalar mode, single-island
+    /// jobs).
     Generation(GenerationStats),
     /// One NSGA-II generation finished and the population front moved
-    /// (forwarded from [`Nsga2::run_with`]; NSGA-II mode).
+    /// (NSGA-II mode, single-island jobs).
     FrontAdvanced {
         /// Generation index, 1-based (0 is the initial population).
         generation: usize,
@@ -168,13 +168,14 @@ pub(crate) fn run_job<F: FnMut(&JobEvent)>(
             };
             (JobOutcome::Scored, points, best)
         }
-        OptimizerMode::Scalar(evo_cfg) if evo_cfg.islands.count > 1 => {
+        OptimizerMode::Scalar(evo_cfg) => {
+            let islands = evo_cfg.islands.count > 1;
             let mut model = IslandModel::scalar(evaluator.clone(), evo_cfg)
                 .with_named_population(population)?;
             if job.drop_fraction() > 0.0 {
                 model = model.drop_best_fraction(job.drop_fraction())?;
             }
-            let outcome = model.run_with(|e| observer(&island_event(e)));
+            let outcome = model.run_with(|e| observer(&job_event(e, islands)));
             observer(&JobEvent::EvolutionFinished {
                 iterations: outcome.iterations_run,
                 evaluations: outcome.eval_counts,
@@ -188,52 +189,12 @@ pub(crate) fn run_job<F: FnMut(&JobEvent)>(
             let points = outcome.final_points.clone();
             (JobOutcome::Scalar(outcome), points, best)
         }
-        OptimizerMode::Scalar(evo_cfg) => {
-            let mut evolution =
-                Evolution::new(evaluator.clone(), evo_cfg).with_named_population(population)?;
-            if job.drop_fraction() > 0.0 {
-                evolution = evolution.drop_best_fraction(job.drop_fraction())?;
-            }
-            let outcome = evolution.run_with(|g| observer(&JobEvent::Generation(*g)));
-            observer(&JobEvent::EvolutionFinished {
-                iterations: outcome.iterations_run,
-                evaluations: outcome.eval_counts,
-            });
-            let winner = outcome.population.best();
-            let best = BestProtection {
-                name: winner.name.clone(),
-                data: winner.data.clone(),
-                assessment: *winner.assessment(),
-            };
-            let points = outcome.final_points.clone();
-            (JobOutcome::Scalar(outcome), points, best)
-        }
-        OptimizerMode::Nsga(cfg) if cfg.islands.count > 1 => {
+        OptimizerMode::Nsga(cfg) => {
+            let islands = cfg.islands.count > 1;
             let nsga_outcome = IslandModel::nsga(evaluator.clone(), cfg)
                 .with_objectives(job.objectives().clone())
                 .with_named_population(population)?
-                .run_with(|e| observer(&island_event(e)));
-            let front = Front::from_outcome(nsga_outcome);
-            observer(&JobEvent::EvolutionFinished {
-                iterations: front.generations_run(),
-                evaluations: front.eval_counts,
-            });
-            let best = front.knee().clone();
-            let points = front.points.clone();
-            (JobOutcome::Pareto(front), points, best)
-        }
-        OptimizerMode::Nsga(cfg) => {
-            let nsga_outcome = Nsga2::new(evaluator.clone(), cfg)
-                .with_objectives(job.objectives().clone())
-                .with_named_population(population)?
-                .run_with(|s| {
-                    observer(&JobEvent::FrontAdvanced {
-                        generation: s.generation,
-                        front_size: s.front_size,
-                        hypervolume: s.hypervolume,
-                        ideal: s.ideal,
-                    });
-                });
+                .run_with(|e| observer(&job_event(e, islands)));
             let front = Front::from_outcome(nsga_outcome);
             observer(&JobEvent::EvolutionFinished {
                 iterations: front.generations_run(),
@@ -271,15 +232,23 @@ pub(crate) fn run_job<F: FnMut(&JobEvent)>(
     })
 }
 
-/// Map a core island-scheduler event onto the job event stream.
-fn island_event(e: &IslandEvent) -> JobEvent {
-    match e {
-        IslandEvent::Generation { island, stats } => JobEvent::IslandGeneration {
-            island: *island,
-            stats: *stats,
+/// Map a core island-scheduler event onto the job event stream. Jobs
+/// configured with one island emit the single-population events
+/// ([`JobEvent::Generation`], [`JobEvent::FrontAdvanced`]); island-model
+/// jobs emit the per-island ones, even when dropping leaders left fewer
+/// members than islands.
+fn job_event(e: &IslandEvent, islands: bool) -> JobEvent {
+    match *e {
+        IslandEvent::Generation { stats, .. } if !islands => JobEvent::Generation(stats),
+        IslandEvent::Generation { island, stats } => JobEvent::IslandGeneration { island, stats },
+        IslandEvent::Front { stats, .. } if !islands => JobEvent::FrontAdvanced {
+            generation: stats.generation,
+            front_size: stats.front_size,
+            hypervolume: stats.hypervolume,
+            ideal: stats.ideal,
         },
         IslandEvent::Front { island, stats } => JobEvent::IslandFront {
-            island: *island,
+            island,
             generation: stats.generation,
             front_size: stats.front_size,
             hypervolume: stats.hypervolume,
@@ -290,9 +259,9 @@ fn island_event(e: &IslandEvent) -> JobEvent {
             island,
             emigrants,
         } => JobEvent::Migration {
-            generation: *generation,
-            island: *island,
-            emigrants: *emigrants,
+            generation,
+            island,
+            emigrants,
         },
     }
 }

@@ -1,8 +1,27 @@
 //! Property-based tests for the NSGA-II primitives: non-dominated sorting,
 //! crowding distance, and the 2-D hypervolume indicator.
 
-use cdp::core::nsga::{crowding_distance, hypervolume, non_dominated_sort};
+use cdp::core::nsga::{crowding_distance_vec, hypervolume_vec, non_dominated_sort_vec};
+use cdp::core::ObjectiveVector;
 use proptest::prelude::*;
+
+fn pairs(points: &[(f64, f64)]) -> Vec<ObjectiveVector> {
+    points
+        .iter()
+        .map(|&(a, b)| ObjectiveVector::pair(a, b))
+        .collect()
+}
+
+fn non_dominated_sort(points: &[(f64, f64)]) -> Vec<Vec<usize>> {
+    non_dominated_sort_vec(&pairs(points))
+}
+
+fn hypervolume(points: &[(f64, f64)], reference: (f64, f64)) -> f64 {
+    hypervolume_vec(
+        &pairs(points),
+        &ObjectiveVector::pair(reference.0, reference.1),
+    )
+}
 
 fn dominates(a: (f64, f64), b: (f64, f64)) -> bool {
     a.0 <= b.0 && a.1 <= b.1 && (a.0 < b.0 || a.1 < b.1)
@@ -107,7 +126,7 @@ proptest! {
     #[test]
     fn crowding_has_at_least_two_infinite_entries(points in arb_points()) {
         let front: Vec<usize> = (0..points.len()).collect();
-        let d = crowding_distance(&points, &front);
+        let d = crowding_distance_vec(&pairs(&points), &front);
         prop_assert_eq!(d.len(), points.len());
         let infinite = d.iter().filter(|x| x.is_infinite()).count();
         prop_assert!(infinite >= usize::min(2, points.len()));

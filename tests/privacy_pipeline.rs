@@ -136,14 +136,15 @@ fn nsga_front_members_are_auditable_and_in_range() {
         assert!((0.0..=100.0).contains(&p.dr), "DR in range: {}", p.dr);
     }
     // the archive dominates-or-equals the final population front
-    let archive_hv = {
-        let objs: Vec<(f64, f64)> = outcome.archive_front.iter().map(|p| (p.il, p.dr)).collect();
-        cdp::core::nsga::hypervolume(&objs, cdp::core::nsga::HV_REFERENCE)
+    let hv = |points: &[cdp::core::ScatterPoint]| {
+        let objs: Vec<ObjectiveVector> = points
+            .iter()
+            .map(|p| ObjectiveVector::pair(p.il, p.dr))
+            .collect();
+        cdp::core::nsga::hypervolume_vec(&objs, &ObjectiveVector::pair(100.0, 100.0))
     };
-    let front_hv = {
-        let objs: Vec<(f64, f64)> = outcome.front.iter().map(|p| (p.il, p.dr)).collect();
-        cdp::core::nsga::hypervolume(&objs, cdp::core::nsga::HV_REFERENCE)
-    };
+    let archive_hv = hv(&outcome.archive_front);
+    let front_hv = hv(&outcome.front);
     assert!(archive_hv >= front_hv - 1e-9);
 }
 

@@ -193,7 +193,7 @@ proptest! {
             let c = masked.attr(k).n_categories() as Code;
             let old = masked.get(row, k);
             masked.set(row, k, rng.gen_range(0..c));
-            state = ev.reassess_mutation(&state, &masked, row, k, old);
+            state = ev.reassess(&state, &masked, &Patch::cell(row, k, old));
         }
         let full = ev.assess(&masked);
         prop_assert_eq!(state.assessment, full.assessment);
