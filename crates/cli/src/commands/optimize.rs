@@ -3,40 +3,56 @@
 //! writing figure-ready CSVs.
 //!
 //! Flags deserialize into one [`cdp::pipeline::ProtectionJob`] carrying
-//! its [`cdp::pipeline::OptimizerMode`]; both modes run through
-//! [`Session::run_with`], so the CLI and the library cannot drift.
+//! its [`cdp::pipeline::OptimizerMode`]: dataset-mode flags are job-spec
+//! tokens, and `--input` mode applies its optimizer flags through the same
+//! [`JobSpec`] code. Both modes run through [`Session::run_with`], so the
+//! CLI and the library cannot drift.
 
 use std::io::Write;
 use std::path::Path;
 
-use cdp::pipeline::{JobEvent, OptimizerMode, ProtectionJob, Session, SnapshotCacheConfig};
+use cdp::pipeline::{
+    JobEvent, JobReport, OptimizerMode, ProtectionJob, Session, SnapshotCacheConfig,
+};
 use cdp_core::ScatterPoint;
 use cdp_dataset::io::write_table_path;
 
 use crate::args::Args;
-use crate::commands::generate::dataset_kind;
 use crate::data::{load_table_with, resolve_attrs};
 use crate::error::{CliError, Result};
-use crate::spec::{
-    parse_fitness, parse_method, parse_mode, parse_suite, IncMode, JobSpec, SpecMode,
-};
+use crate::spec::{job_grammar, parse_method, JobSpec};
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// The flags that set a job-spec key of the same name (`--iters` sets
+/// `gens` under `--mode nsga`). Dataset mode takes all of them; `--input`
+/// mode takes those from `mode` on.
+const SPEC_FLAGS: [&str; 10] = [
+    "dataset",
+    "suite",
+    "records",
+    "mode",
+    "fitness",
+    "iters",
+    "drop",
+    "offspring",
+    "xprob",
+    "seed",
+];
+
+/// Usage text; the job-spec keys are generated from the grammar's table.
+pub fn usage() -> String {
+    format!(
+        "\
 cdp optimize (--dataset <name> | --input <file.csv> | --job <spec>) --out <dir>
              [--attrs <A,B,C>]           attributes to protect (input mode)
              [--methods <spec,spec,...>] initial population (input mode)
              [--copies <n>]              seeds per method spec (default 2)
-             [--suite <small|paper>]     population sweep (dataset mode)
-             [--records <n>]             record count (dataset mode)
              [--schema <sidecar>]        attribute kinds/dictionaries (input mode)
-             [--mode <scalar|nsga>]      optimizer (default scalar)
-             [--fitness <mean|max>]      scalar aggregator (default max)
-             [--iters <n>]               iterations/generations (default 300)
-             [--drop <fraction>]         drop best initial fraction (scalar)
-             [--offspring <n>]           offspring per generation (nsga; 0 = pop size)
-             [--xprob <p>]               crossover probability (nsga; default 0.5)
-             [--seed <u64>]
+             [--suite <v>] [--records <v>] [--mode <v>] [--fitness <v>]
+             [--iters <v>] [--drop <v>] [--offspring <v>] [--xprob <v>]
+             [--seed <v>]                the job-spec keys below, as flags;
+                                         --iters sets gens under --mode nsga;
+                                         input mode takes --mode and the flags
+                                         after it
              [--cache-dir <dir>]         persistent snapshot cache: the prepared
                                          evaluator is written to <dir> and later
                                          runs rehydrate it instead of re-preparing
@@ -50,7 +66,13 @@ knee point).
 --job takes one quoted key=value job spec — exactly the `job:` line a
 dataset-mode run echoes — so any run can be reproduced verbatim:
   cdp optimize --job 'dataset=adult suite=paper fitness=max iters=300 seed=7' --out dir
-  cdp optimize --job 'dataset=german suite=small mode=nsga gens=200 seed=7' --out dir";
+  cdp optimize --job 'dataset=german suite=small mode=nsga gens=200 seed=7' --out dir
+
+job spec keys (order-insensitive):
+{}",
+        job_grammar()
+    )
+}
 
 /// Default initial-population recipe for `--input` mode.
 const DEFAULT_METHODS: &str =
@@ -58,54 +80,53 @@ const DEFAULT_METHODS: &str =
 
 /// Run the command.
 pub fn run(args: &Args) -> Result<()> {
-    args.expect_only(&[
-        "dataset",
-        "input",
-        "job",
-        "out",
-        "attrs",
-        "methods",
-        "copies",
-        "suite",
-        "records",
-        "mode",
-        "fitness",
-        "iters",
-        "drop",
-        "offspring",
-        "xprob",
-        "seed",
-        "schema",
-        "cache-dir",
-        "cache-cap",
-    ])?;
+    let mut known = vec![
+        "input", "job", "out", "attrs", "methods", "copies", "schema",
+    ];
+    known.extend(SPEC_FLAGS);
+    known.extend(["cache-dir", "cache-cap"]);
+    args.expect_only(&known)?;
     let out_dir = Path::new(args.require("out")?);
     std::fs::create_dir_all(out_dir)?;
 
     let snapshot = super::cache::snapshot_config_from(args)?;
     let job = job_from_args(args)?;
-    match job.optimizer() {
-        OptimizerMode::Scalar(_) => run_scalar(&job, out_dir, snapshot),
-        OptimizerMode::Nsga(_) => run_nsga(&job, out_dir, snapshot),
+    let scalar = matches!(job.optimizer(), OptimizerMode::Scalar(_));
+    if scalar && job.iterations() == 0 {
+        return Err(CliError::Usage(
+            "scalar mode needs --iters >= 1 (0 is mask-and-score only)".into(),
+        ));
+    }
+    let report = run_job(
+        &job,
+        snapshot,
+        if scalar { "iterations" } else { "generations" },
+    )?;
+    if scalar {
+        write_scalar(&report, out_dir)
+    } else {
+        write_nsga(&report, out_dir)
     }
 }
 
-/// Reject flags that do not apply under the selected optimizer mode, with
-/// the right mode named.
-fn reject_cross_mode_flags(args: &Args, mode: SpecMode) -> Result<()> {
-    let (wrong, hint) = match mode {
-        SpecMode::Scalar => (["offspring", "xprob"].as_slice(), "--mode nsga"),
-        SpecMode::Nsga => (["fitness", "drop"].as_slice(), "the (default) scalar mode"),
-    };
-    for flag in wrong {
-        if args.get(flag).is_some() {
-            return Err(CliError::Usage(format!(
-                "--{flag} applies to {hint}, not --mode {}",
-                mode.name()
-            )));
+/// The job-spec keys given as `flags`, parsed like a spec; errors name
+/// the flag.
+fn spec_from_flags(args: &Args, flags: &[&'static str]) -> Result<JobSpec> {
+    let nsga = args.get("mode") == Some("nsga");
+    let key = |flag: &'static str| {
+        if nsga && flag == "iters" {
+            "gens"
+        } else {
+            flag
         }
-    }
-    Ok(())
+    };
+    let pairs = flags
+        .iter()
+        .filter_map(|&flag| args.get(flag).map(|value| (key(flag), value)));
+    JobSpec::from_pairs(pairs, |key| match key {
+        "gens" => "--iters".into(),
+        key => format!("--{key}"),
+    })
 }
 
 /// Deserialize the flags into one [`ProtectionJob`].
@@ -124,11 +145,6 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
         }
         return JobSpec::parse(text)?.to_job();
     }
-    let mode = match args.get("mode") {
-        Some(value) => parse_mode(value)?,
-        None => SpecMode::Scalar,
-    };
-    reject_cross_mode_flags(args, mode)?;
     match (args.get("dataset"), args.get("input")) {
         (Some(_), Some(_)) => Err(CliError::Usage(
             "--dataset and --input are mutually exclusive".into(),
@@ -136,39 +152,14 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
         (None, None) => Err(CliError::Usage(
             "one of --dataset or --input is required".into(),
         )),
-        (Some(name), None) => {
-            // dataset mode: the flags map 1:1 onto the CLI job-spec fields
-            let mut spec = JobSpec {
-                dataset: dataset_kind(name)?,
-                mode,
-                // incremental evaluation defaults are mode-dependent
-                inc: IncMode::default_for(mode),
-                ..JobSpec::default()
-            };
-            spec.records = args.get_parse("records")?;
-            if let Some(value) = args.get("suite") {
-                spec.suite = parse_suite(value)?;
-            }
-            spec.seed = args.get_or("seed", spec.seed)?;
-            match mode {
-                SpecMode::Scalar => {
-                    if let Some(value) = args.get("fitness") {
-                        spec.fitness = parse_fitness(value)?;
-                    }
-                    spec.iters = args.get_or("iters", spec.iters)?;
-                    spec.drop = args.get_or("drop", spec.drop)?;
-                }
-                SpecMode::Nsga => {
-                    // --iters doubles as the generation count, keeping the
-                    // historical flag spelling
-                    spec.gens = args.get_or("iters", spec.gens)?;
-                    spec.offspring = args.get_or("offspring", spec.offspring)?;
-                    spec.xprob = args.get_or("xprob", spec.xprob)?;
-                }
-            }
-            spec.to_job()
-        }
+        (Some(_), None) => spec_from_flags(args, &SPEC_FLAGS)?.to_job(),
         (None, Some(path)) => {
+            if args.get("suite").is_some() {
+                return Err(CliError::Usage(
+                    "--suite applies to dataset mode; use --methods with --input".into(),
+                ));
+            }
+            let spec = spec_from_flags(args, &SPEC_FLAGS[3..])?;
             let table = load_table_with(path, args.get("schema"))?;
             let indices = resolve_attrs(&table, args.list("attrs"))?;
             let methods = args
@@ -179,72 +170,45 @@ fn job_from_args(args: &Args) -> Result<ProtectionJob> {
                 .filter(|s| !s.is_empty())
                 .map(parse_method)
                 .collect::<Result<Vec<_>>>()?;
-            let copies: usize = args.get_or("copies", 2)?;
-            if args.get("suite").is_some() {
-                return Err(CliError::Usage(
-                    "--suite applies to dataset mode; use --methods with --input".into(),
-                ));
-            }
-            let mut builder = ProtectionJob::builder()
+            let builder = ProtectionJob::builder()
                 .table(table, indices)
                 .methods(methods)
-                .copies(copies)
-                .iterations(args.get_or("iters", 300)?)
-                .seed(args.get_or("seed", 42)?);
-            match mode {
-                SpecMode::Scalar => {
-                    builder = builder.drop_best_fraction(args.get_or("drop", 0.0)?);
-                    if let Some(value) = args.get("fitness") {
-                        builder = builder.aggregator(parse_fitness(value)?);
-                    } else {
-                        builder = builder.aggregator(cdp_metrics::ScoreAggregator::Max);
-                    }
-                }
-                SpecMode::Nsga => {
-                    builder = builder.nsga();
-                    if let Some(n) = args.get_parse::<usize>("offspring")? {
-                        builder = builder.offspring(n);
-                    }
-                    if let Some(p) = args.get_parse::<f64>("xprob")? {
-                        builder = builder.crossover_prob(p);
-                    }
-                }
-            }
-            Ok(builder.build()?)
+                .copies(args.get_or("copies", 2)?);
+            Ok(spec.optimize(builder).build()?)
         }
     }
 }
 
-fn run_scalar(
+/// Echo the canonical spec, then run the job in a fresh session,
+/// announcing the population once it is masked.
+fn run_job(
     job: &ProtectionJob,
-    out_dir: &Path,
     snapshot: Option<SnapshotCacheConfig>,
-) -> Result<()> {
-    if job.iterations() == 0 {
-        return Err(CliError::Usage(
-            "scalar mode needs --iters >= 1 (0 is mask-and-score only)".into(),
-        ));
-    }
+    budget_unit: &str,
+) -> Result<JobReport> {
     // echo the canonical spec so any dataset-mode run can be reproduced by
     // pasting the line back into the flags
     if let Ok(spec) = JobSpec::from_job(job) {
         println!("job: {}", spec.to_spec_string());
     }
-    let mut session = Session::new();
+    let session = Session::new();
     session.set_snapshot_cache(snapshot);
     let mut dims = (0usize, 0usize);
-    let report = session.run_with(job, |event| match event {
+    Ok(session.run_with(job, |event| match event {
         JobEvent::SourceReady {
             rows, protected, ..
         } => dims = (*rows, *protected),
         JobEvent::PopulationReady { size } => println!(
-            "optimizing {size} protections of {} records x {} attributes ({} iterations)",
+            "optimizing {size} protections of {} records x {} attributes ({} {budget_unit})",
             dims.0,
             dims.1,
             job.iterations()
         ),
         _ => {}
-    })?;
+    })?)
+}
+
+fn write_scalar(report: &JobReport, out_dir: &Path) -> Result<()> {
     let outcome = report.scalar_outcome().expect("iterations >= 1 evolves");
 
     // evolution.csv: the paper's max/mean/min series
@@ -287,32 +251,8 @@ fn run_scalar(
     Ok(())
 }
 
-fn run_nsga(
-    job: &ProtectionJob,
-    out_dir: &Path,
-    snapshot: Option<SnapshotCacheConfig>,
-) -> Result<()> {
-    // NSGA-II is a first-class job mode: the run goes through the same
-    // Session engine as the scalar path, artifact emission lives on the
-    // report's `Front`.
-    if let Ok(spec) = JobSpec::from_job(job) {
-        println!("job: {}", spec.to_spec_string());
-    }
-    let mut session = Session::new();
-    session.set_snapshot_cache(snapshot);
-    let mut dims = (0usize, 0usize);
-    let report = session.run_with(job, |event| match event {
-        JobEvent::SourceReady {
-            rows, protected, ..
-        } => dims = (*rows, *protected),
-        JobEvent::PopulationReady { size } => println!(
-            "optimizing {size} protections of {} records x {} attributes ({} generations)",
-            dims.0,
-            dims.1,
-            job.iterations()
-        ),
-        _ => {}
-    })?;
+fn write_nsga(report: &JobReport, out_dir: &Path) -> Result<()> {
+    // artifact emission lives on the report's `Front`
     let front = report.front().expect("nsga jobs produce a front");
 
     front.write_front_csv(std::fs::File::create(out_dir.join("front.csv"))?)?;
@@ -638,6 +578,117 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--job spec"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Flags ≡ spec: every dataset-mode spec within the flag set,
+        /// passed as flags, builds a job that reads back (through
+        /// `from_job`) as the spec its canonical string parses to.
+        #[test]
+        fn dataset_flags_build_the_job_of_their_spec_string(
+            dataset_i in 0usize..4,
+            records_set in proptest::prelude::any::<bool>(),
+            records_n in 1usize..500,
+            paper_suite in proptest::prelude::any::<bool>(),
+            nsga in proptest::prelude::any::<bool>(),
+            mean_fitness in proptest::prelude::any::<bool>(),
+            budget in 0usize..400,
+            drop_20th in 0u8..20,
+            offspring in 0usize..40,
+            xprob_pct in 0u8..=100,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use cdp::pipeline::SuiteKind;
+            use cdp_dataset::generators::DatasetKind;
+            use cdp_metrics::ScoreAggregator;
+
+            let mut spec = JobSpec {
+                dataset: [
+                    DatasetKind::Adult,
+                    DatasetKind::Housing,
+                    DatasetKind::German,
+                    DatasetKind::Flare,
+                ][dataset_i],
+                records: records_set.then_some(records_n),
+                suite: if paper_suite { SuiteKind::Paper } else { SuiteKind::Small },
+                seed,
+                ..JobSpec::default()
+            };
+            let mut flags = vec![
+                "--dataset".to_string(),
+                spec.dataset.name().to_ascii_lowercase(),
+                "--suite".into(),
+                spec.suite.name().into(),
+                "--seed".into(),
+                seed.to_string(),
+            ];
+            if let Some(n) = spec.records {
+                flags.extend(["--records".into(), n.to_string()]);
+            }
+            if nsga {
+                spec.mode = crate::spec::SpecMode::Nsga;
+                spec.inc = crate::spec::IncMode::Crossover;
+                spec.gens = budget.max(1);
+                spec.offspring = offspring;
+                spec.xprob = f64::from(xprob_pct) / 100.0;
+                flags.extend([
+                    "--mode".into(),
+                    "nsga".into(),
+                    "--iters".into(),
+                    spec.gens.to_string(),
+                    "--offspring".into(),
+                    offspring.to_string(),
+                    "--xprob".into(),
+                    spec.xprob.to_string(),
+                ]);
+            } else {
+                spec.fitness = if mean_fitness {
+                    ScoreAggregator::Mean
+                } else {
+                    ScoreAggregator::Max
+                };
+                spec.iters = budget;
+                spec.drop = f64::from(drop_20th) / 20.0;
+                flags.extend([
+                    "--fitness".into(),
+                    spec.fitness.name().into(),
+                    "--iters".into(),
+                    budget.to_string(),
+                    "--drop".into(),
+                    spec.drop.to_string(),
+                ]);
+            }
+            let job = job_from_args(&Args::parse(flags.clone()).unwrap())
+                .unwrap_or_else(|e| panic!("{flags:?}: {e}"));
+            let from_flags = JobSpec::from_job(&job)
+                .unwrap_or_else(|e| panic!("{flags:?}: {e}"));
+            let from_text = JobSpec::parse(&spec.to_spec_string()).unwrap();
+            proptest::prop_assert_eq!(&from_flags, &from_text, "{:?}", flags);
+        }
+    }
+
+    #[test]
+    fn input_mode_flags_go_through_the_spec_grammar() {
+        let dir = tmp_dir("input_flags");
+        let input = dir.join("input.csv");
+        std::fs::write(&input, "X,Y\na,p\nb,q\nc,r\na,q\n").unwrap();
+        for (flags, needle) in [
+            (vec!["--mode", "nsga", "--drop", "0.1"], "--drop"),
+            (vec!["--fitness", "min"], "--fitness"),
+            (vec!["--mode", "nsga", "--iters", "x"], "--iters"),
+        ] {
+            let mut tokens = vec![
+                "--input",
+                input.to_str().unwrap(),
+                "--out",
+                dir.to_str().unwrap(),
+            ];
+            tokens.extend(flags);
+            let err = run(&args(&tokens)).unwrap_err().to_string();
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
     }
 
     #[test]

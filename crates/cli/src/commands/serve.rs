@@ -297,7 +297,7 @@ fn run_once(
 
     // the in-process reference: same spec through the plain Session API
     let reference = {
-        let mut session = Session::new();
+        let session = Session::new();
         DoneSummary::from_report(&session.run(&spec.to_job()?)?)
     };
 

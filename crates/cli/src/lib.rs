@@ -41,7 +41,7 @@ pub fn usage_of(command: &str) -> Option<String> {
         "protect" => Some(commands::protect::usage()),
         "evaluate" => Some(commands::evaluate::USAGE.to_string()),
         "analyze" => Some(commands::analyze::USAGE.to_string()),
-        "optimize" => Some(commands::optimize::USAGE.to_string()),
+        "optimize" => Some(commands::optimize::usage()),
         "hierarchy" => Some(commands::hierarchy::USAGE.to_string()),
         "serve" => Some(commands::serve::USAGE.to_string()),
         "cache" => Some(commands::cache::USAGE.to_string()),

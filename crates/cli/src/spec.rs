@@ -5,12 +5,16 @@
 //! * [`JobSpec`] — the `key=value` job grammar that deserializes a whole
 //!   `cdp optimize` invocation straight into a
 //!   [`cdp::pipeline::ProtectionJob`], and serializes one back, so CLI
-//!   jobs and library jobs cannot drift.
+//!   jobs and library jobs cannot drift. One table row per key drives
+//!   parsing, rendering, the cross-mode check and the key list of the
+//!   `cdp optimize` usage text.
 
-use cdp::pipeline::{DataSource, OptimizerMode, PopulationSpec, ProtectionJob, SuiteKind};
+use cdp::pipeline::{
+    DataSource, OptimizerMode, PopulationSpec, ProtectionJob, ProtectionJobBuilder, SuiteKind,
+};
 use cdp_core::NsgaConfig;
 use cdp_dataset::generators::DatasetKind;
-use cdp_metrics::{LinkageMode, ScoreAggregator};
+use cdp_metrics::ScoreAggregator;
 use cdp_sdc::{
     Aggregate, BottomCoding, GlobalRecoding, Grouping, LocalSuppression, MicroVariant,
     Microaggregation, Pram, PramMode, ProtectionMethod, RandomSwap, RankSwapping, TopCoding,
@@ -18,44 +22,6 @@ use cdp_sdc::{
 
 use crate::commands::generate::dataset_kind;
 use crate::error::{CliError, Result};
-
-/// Grammar accepted by [`JobSpec::parse`]: whitespace-separated
-/// `key=value` tokens, order-insensitive. Scalar-only keys under
-/// `mode=nsga` (and vice versa) are rejected with the offending key named.
-pub const JOB_GRAMMAR: &str = "\
-  dataset=<adult|housing|german|flare>   evaluation dataset (required)
-  records=<n>                            record-count override
-  suite=<small|paper>                    initial population sweep
-  mode=<scalar|nsga>                     optimizer (default scalar)
-  seed=<u64>                             master seed
-  audit=<true|false>                     privacy-audit the winner
-  inc=<off|mut|xover|all>                incremental offspring evaluation
-                                         (default: all; under mode=nsga the
-                                         default — and only on-value — is
-                                         xover; mut/all: scalar mode only)
-  link=<pairs|blocked>                   DBRL/RSRL scan backend (default
-                                         blocked: distinct-pattern index
-                                         scans, identical credits to the
-                                         all-pairs reference)
-  islands=<k>                            island-model parallel run with k
-                                         islands (default 1 = the legacy
-                                         single-population streams)
-  mig=<n>                                generations between migration
-                                         epochs when islands>1 (default 10)
-  -- scalar mode only --
-  fitness=<mean|max>                     scalar aggregator
-  iters=<n>                              evolution budget (0 = mask only)
-  drop=<fraction>                        drop best initial fraction (§3.3)
-  -- nsga mode only --
-  gens=<n>                               NSGA-II generations
-  offspring=<n>                          offspring per generation (0 = population size)
-  xprob=<p>                              crossover probability
-  obj=il,dr[,eps|util]                   objective vector (leads with the
-                                         canonical il,dr pair; extras: eps
-                                         empirical-LDP leakage, util
-                                         task-utility gap)
-  eps=<budget>                           add an ε-calibrated invariant-PRAM
-                                         member to the initial population";
 
 /// The incremental-evaluation selector of the job grammar (`inc=` key).
 ///
@@ -109,19 +75,6 @@ impl IncMode {
     }
 }
 
-/// Parse an `inc=` value.
-pub fn parse_inc(value: &str) -> Result<IncMode> {
-    match value {
-        "off" => Ok(IncMode::Off),
-        "mut" => Ok(IncMode::Mutation),
-        "xover" => Ok(IncMode::Crossover),
-        "all" => Ok(IncMode::All),
-        other => Err(CliError::Usage(format!(
-            "unknown inc `{other}` (off, mut, xover, all)"
-        ))),
-    }
-}
-
 /// The optimizer selector of the job grammar (`mode=` key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecMode {
@@ -139,6 +92,222 @@ impl SpecMode {
             SpecMode::Nsga => "nsga",
         }
     }
+}
+
+/// One key of the job grammar.
+struct Key {
+    /// The key as spelled in a spec (`name=value`).
+    name: &'static str,
+    /// The optimizer modes the key applies to.
+    modes: &'static [SpecMode],
+    /// The accepted values, as shown in the help text and in errors.
+    values: &'static str,
+    /// One line of help.
+    help: &'static str,
+    /// Store a value into the spec; `None` when the value does not parse.
+    set: fn(&mut JobSpec, &str) -> Option<()>,
+    /// The value to render, `None` when the key sits at its default.
+    render: fn(&JobSpec) -> Option<String>,
+}
+
+const BOTH: &[SpecMode] = &[SpecMode::Scalar, SpecMode::Nsga];
+const SCALAR: &[SpecMode] = &[SpecMode::Scalar];
+const NSGA: &[SpecMode] = &[SpecMode::Nsga];
+
+/// The job grammar, one row per key, in canonical rendering order.
+const KEYS: &[Key] = &[
+    Key {
+        name: "dataset",
+        modes: BOTH,
+        values: "<adult|housing|german|flare>",
+        help: "evaluation dataset (required)",
+        set: |s, v| dataset_kind(v).ok().map(|d| s.dataset = d),
+        render: |s| Some(s.dataset.name().to_ascii_lowercase()),
+    },
+    Key {
+        name: "suite",
+        modes: BOTH,
+        values: "<small|paper>",
+        help: "initial population sweep (default small)",
+        set: |s, v| {
+            named(&[SuiteKind::Small, SuiteKind::Paper], SuiteKind::name, v).map(|k| s.suite = k)
+        },
+        render: |s| Some(s.suite.name().into()),
+    },
+    Key {
+        name: "mode",
+        modes: BOTH,
+        values: "<scalar|nsga>",
+        help: "optimizer (default scalar)",
+        set: |s, v| {
+            named(&[SpecMode::Scalar, SpecMode::Nsga], SpecMode::name, v).map(|m| s.mode = m)
+        },
+        render: |s| unless(s.mode.name(), SpecMode::Scalar.name()),
+    },
+    Key {
+        name: "fitness",
+        modes: SCALAR,
+        values: "<mean|max>",
+        help: "fitness aggregator (default max)",
+        set: |s, v| {
+            named(
+                &[ScoreAggregator::Mean, ScoreAggregator::Max],
+                ScoreAggregator::name,
+                v,
+            )
+            .map(|a| s.fitness = a)
+        },
+        render: |s| Some(s.fitness.name().into()),
+    },
+    Key {
+        name: "iters",
+        modes: SCALAR,
+        values: "<n>",
+        help: "evolution budget (default 300; 0 = score only)",
+        set: |s, v| v.parse().ok().map(|n| s.iters = n),
+        render: |s| Some(s.iters.to_string()),
+    },
+    Key {
+        name: "gens",
+        modes: NSGA,
+        values: "<n>",
+        help: "generations (default 300)",
+        set: |s, v| v.parse().ok().map(|n| s.gens = n),
+        render: |s| Some(s.gens.to_string()),
+    },
+    Key {
+        name: "seed",
+        modes: BOTH,
+        values: "<u64>",
+        help: "master seed (default 42)",
+        set: |s, v| v.parse().ok().map(|n| s.seed = n),
+        render: |s| Some(s.seed.to_string()),
+    },
+    Key {
+        name: "records",
+        modes: BOTH,
+        values: "<n>",
+        help: "record-count override (at least 1)",
+        set: |s, v| v.parse().ok().map(|n| s.records = Some(n)),
+        render: |s| s.records.map(|n| n.to_string()),
+    },
+    Key {
+        name: "drop",
+        modes: SCALAR,
+        values: "<fraction>",
+        help: "drop the best initial fraction (§3.3)",
+        set: |s, v| v.parse().ok().map(|f| s.drop = f),
+        render: |s| unless(s.drop, 0.0),
+    },
+    Key {
+        name: "offspring",
+        modes: NSGA,
+        values: "<n>",
+        help: "offspring per generation (0 = population size)",
+        set: |s, v| v.parse().ok().map(|n| s.offspring = n),
+        render: |s| unless(s.offspring, JobSpec::default().offspring),
+    },
+    Key {
+        name: "xprob",
+        modes: NSGA,
+        values: "<p>",
+        help: "crossover probability (default 0.5)",
+        set: |s, v| v.parse().ok().map(|p| s.xprob = p),
+        render: |s| unless(s.xprob, JobSpec::default().xprob),
+    },
+    Key {
+        name: "obj",
+        modes: NSGA,
+        values: "il,dr[,eps][,util]",
+        help: "objective vector; eps = LDP leakage, util = task utility",
+        // the metrics registry owns the key grammar; the spec stores only
+        // the extension beyond the canonical pair
+        set: |s, v| {
+            let set = cdp_metrics::ObjectiveSet::parse(v).ok()?;
+            s.obj = set.keys()[2..].iter().map(|k| (*k).to_string()).collect();
+            Some(())
+        },
+        render: |s| (!s.obj.is_empty()).then(|| format!("il,dr,{}", s.obj.join(","))),
+    },
+    Key {
+        name: "eps",
+        modes: NSGA,
+        values: "<budget>",
+        help: "add an ε-calibrated invariant-PRAM member",
+        set: |s, v| v.parse().ok().map(|e| s.eps = Some(e)),
+        render: |s| s.eps.map(|e| e.to_string()),
+    },
+    Key {
+        name: "inc",
+        modes: BOTH,
+        values: "<off|mut|xover|all>",
+        help: "incremental evaluation (default all; under nsga xover or off)",
+        set: |s, v| {
+            let all = [
+                IncMode::Off,
+                IncMode::Mutation,
+                IncMode::Crossover,
+                IncMode::All,
+            ];
+            named(&all, IncMode::name, v).map(|i| s.inc = i)
+        },
+        render: |s| unless(s.inc.name(), IncMode::default_for(s.mode).name()),
+    },
+    Key {
+        name: "islands",
+        modes: BOTH,
+        values: "<k>",
+        help: "island-model run with k islands (default 1)",
+        set: |s, v| v.parse().ok().map(|n| s.islands = n),
+        render: |s| unless(s.islands, 1),
+    },
+    Key {
+        name: "mig",
+        modes: BOTH,
+        values: "<n>",
+        help: "generations between migrations (default 10)",
+        set: |s, v| v.parse().ok().map(|n| s.mig = n),
+        render: |s| unless(s.mig, JobSpec::default().mig),
+    },
+    Key {
+        name: "audit",
+        modes: BOTH,
+        values: "<true|false>",
+        help: "privacy-audit the winner (default false)",
+        set: |s, v| v.parse().ok().map(|a| s.audit = a),
+        render: |s| unless(s.audit, false),
+    },
+];
+
+/// The member of `all` whose CLI spelling is `value`.
+fn named<T: Copy>(all: &[T], name: fn(T) -> &'static str, value: &str) -> Option<T> {
+    all.iter().copied().find(|&t| name(t) == value)
+}
+
+/// `value` rendered, unless it equals `default`.
+fn unless<T: PartialEq + ToString>(value: T, default: T) -> Option<String> {
+    (value != default).then(|| value.to_string())
+}
+
+/// The job grammar accepted by [`JobSpec::parse`], one line per key in
+/// canonical order: whitespace-separated `key=value` tokens,
+/// order-insensitive. Keys of one optimizer mode lead their help with
+/// it; using them under the other mode is an error naming the key.
+pub(crate) fn job_grammar() -> String {
+    KEYS.iter()
+        .map(|k| {
+            let only = match k.modes {
+                [mode] => format!("{}: ", mode.name()),
+                _ => String::new(),
+            };
+            format!(
+                "  {:<36} {only}{}",
+                format!("{}={}", k.name, k.values),
+                k.help
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 /// A `cdp optimize` dataset-mode invocation as data: the textual job
@@ -173,9 +342,6 @@ pub struct JobSpec {
     /// Incremental offspring evaluation (`inc=` key; defaults to
     /// [`IncMode::default_for`] the spec's mode).
     pub inc: IncMode,
-    /// DBRL/RSRL scan backend (`link=` key; defaults to
-    /// [`LinkageMode::Blocked`]).
-    pub link: LinkageMode,
     /// Island count (`islands=` key; default 1 = the legacy
     /// single-population run). Shared between the two modes.
     pub islands: usize,
@@ -209,7 +375,6 @@ impl Default for JobSpec {
             drop: 0.0,
             audit: false,
             inc: IncMode::default_for(SpecMode::Scalar),
-            link: LinkageMode::default(),
             islands: 1,
             mig: cdp_core::IslandConfig::default().migration_interval,
             obj: Vec::new(),
@@ -219,7 +384,7 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Parse the `key=value` grammar.
+    /// Parse the `key=value` grammar (listed by `cdp help optimize`).
     ///
     /// Mode consistency is validated after all tokens are read (the
     /// grammar is order-insensitive, so `mode=` may come last): scalar-only
@@ -227,134 +392,64 @@ impl JobSpec {
     /// scalar mode — are usage errors naming the offending key.
     ///
     /// # Errors
-    /// [`CliError::Usage`] with the offending token and the grammar.
+    /// [`CliError::Usage`] naming the offending token and, for a bad
+    /// value, the values its key accepts.
     pub fn parse(text: &str) -> Result<JobSpec> {
-        let bad = |msg: String| CliError::Usage(format!("{msg}\njob spec keys:\n{JOB_GRAMMAR}"));
+        let pairs = text
+            .split_whitespace()
+            .map(|token| {
+                token
+                    .split_once('=')
+                    .ok_or_else(|| CliError::Usage(format!("expected key=value, got `{token}`")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        if !pairs.iter().any(|(key, _)| *key == "dataset") {
+            return Err(CliError::Usage("a dataset= key is required".into()));
+        }
+        JobSpec::from_pairs(pairs, |key| format!("`{key}`"))
+    }
+
+    /// Parse `(key, value)` pairs over the defaults: the grammar behind
+    /// [`JobSpec::parse`] and the `cdp optimize` flags. `spell` names a
+    /// key the way the caller wrote it, for error messages.
+    pub(crate) fn from_pairs<'a>(
+        pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+        spell: impl Fn(&str) -> String,
+    ) -> Result<JobSpec> {
         let mut spec = JobSpec::default();
-        let mut saw_dataset = false;
-        let mut seen: Vec<&str> = Vec::new();
-        for token in text.split_whitespace() {
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| bad(format!("expected key=value, got `{token}`")))?;
-            match key {
-                "dataset" => {
-                    spec.dataset = dataset_kind(value)?;
-                    saw_dataset = true;
-                }
-                "records" => {
-                    spec.records = Some(
-                        value
-                            .parse()
-                            .map_err(|_| bad(format!("records: bad count `{value}`")))?,
-                    );
-                }
-                "suite" => {
-                    spec.suite = parse_suite(value)?;
-                }
-                "mode" => {
-                    spec.mode = parse_mode(value)?;
-                }
-                "fitness" => {
-                    spec.fitness = parse_fitness(value)?;
-                    seen.push("fitness");
-                }
-                "iters" => {
-                    spec.iters = value
-                        .parse()
-                        .map_err(|_| bad(format!("iters: bad count `{value}`")))?;
-                    seen.push("iters");
-                }
-                "gens" => {
-                    spec.gens = value
-                        .parse()
-                        .map_err(|_| bad(format!("gens: bad count `{value}`")))?;
-                    seen.push("gens");
-                }
-                "offspring" => {
-                    spec.offspring = value
-                        .parse()
-                        .map_err(|_| bad(format!("offspring: bad count `{value}`")))?;
-                    seen.push("offspring");
-                }
-                "xprob" => {
-                    spec.xprob = value
-                        .parse()
-                        .map_err(|_| bad(format!("xprob: bad probability `{value}`")))?;
-                    seen.push("xprob");
-                }
-                "seed" => {
-                    spec.seed = value
-                        .parse()
-                        .map_err(|_| bad(format!("seed: bad value `{value}`")))?;
-                }
-                "drop" => {
-                    spec.drop = value
-                        .parse()
-                        .map_err(|_| bad(format!("drop: bad fraction `{value}`")))?;
-                    seen.push("drop");
-                }
-                "audit" => {
-                    spec.audit = value
-                        .parse()
-                        .map_err(|_| bad(format!("audit: expected true/false, got `{value}`")))?;
-                }
-                "inc" => {
-                    spec.inc = parse_inc(value)?;
-                    seen.push("inc");
-                }
-                "link" => {
-                    spec.link = parse_link(value)?;
-                }
-                "islands" => {
-                    spec.islands = value
-                        .parse()
-                        .map_err(|_| bad(format!("islands: bad count `{value}`")))?;
-                }
-                "mig" => {
-                    spec.mig = value
-                        .parse()
-                        .map_err(|_| bad(format!("mig: bad interval `{value}`")))?;
-                }
-                "obj" => {
-                    // the metrics registry owns the key grammar; the CLI
-                    // stores only the extension beyond the canonical pair
-                    let set = cdp_metrics::ObjectiveSet::parse(value)
-                        .map_err(|e| bad(format!("obj: {e}")))?;
-                    spec.obj = set.keys()[2..].iter().map(|k| (*k).to_string()).collect();
-                    seen.push("obj");
-                }
-                "eps" => {
-                    spec.eps = Some(
-                        value
-                            .parse()
-                            .map_err(|_| bad(format!("eps: bad budget `{value}`")))?,
-                    );
-                    seen.push("eps");
-                }
-                other => return Err(bad(format!("unknown key `{other}`"))),
-            }
+        let mut seen: Vec<&Key> = Vec::new();
+        for (name, value) in pairs {
+            let key = KEYS
+                .iter()
+                .find(|k| k.name == name)
+                .ok_or_else(|| CliError::Usage(format!("unknown key {}", spell(name))))?;
+            (key.set)(&mut spec, value).ok_or_else(|| {
+                CliError::Usage(format!(
+                    "{}: bad value `{value}` (expected {})",
+                    spell(name),
+                    key.values
+                ))
+            })?;
+            seen.push(key);
         }
-        if !saw_dataset {
-            return Err(bad("a dataset= key is required".into()));
-        }
-        let (wrong, right_mode): (&[&str], &str) = match spec.mode {
-            SpecMode::Scalar => (&["gens", "offspring", "xprob", "obj", "eps"], "mode=nsga"),
-            SpecMode::Nsga => (&["fitness", "iters", "drop"], "the (default) scalar mode"),
-        };
-        if let Some(key) = seen.iter().find(|k| wrong.contains(k)) {
-            return Err(bad(format!(
-                "`{key}` applies to {right_mode} (this spec runs {})",
+        if let Some(key) = seen.iter().find(|k| !k.modes.contains(&spec.mode)) {
+            let right_mode = match spec.mode {
+                SpecMode::Scalar => "mode=nsga",
+                SpecMode::Nsga => "the (default) scalar mode",
+            };
+            return Err(CliError::Usage(format!(
+                "{} applies to {right_mode} (this job runs {})",
+                spell(key.name),
                 spec.mode.name()
             )));
         }
         if spec.mode == SpecMode::Nsga {
-            if !seen.contains(&"inc") {
+            if !seen.iter().any(|k| k.name == "inc") {
                 // the default is mode-dependent: one nsga knob covers both
                 // operators, so default-on spells `xover` there
                 spec.inc = IncMode::default_for(SpecMode::Nsga);
             } else if spec.inc.mutation() {
-                return Err(bad(format!(
+                return Err(CliError::Usage(format!(
                     "`inc={}` names the mutation path and applies to the \
                      (default) scalar mode; under mode=nsga use inc=xover",
                     spec.inc.name()
@@ -364,67 +459,15 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Canonical serialization: fixed order, mode-appropriate keys only,
-    /// re-parses to an equal spec (`parse ∘ to_spec_string = id`).
+    /// Canonical serialization: table order, mode-appropriate keys off
+    /// their defaults only, re-parses to an equal spec
+    /// (`parse ∘ to_spec_string = id`).
     pub fn to_spec_string(&self) -> String {
-        let defaults = JobSpec::default();
-        let mut out = match self.mode {
-            SpecMode::Scalar => format!(
-                "dataset={} suite={} fitness={} iters={} seed={}",
-                self.dataset.name().to_ascii_lowercase(),
-                self.suite.name(),
-                self.fitness.name(),
-                self.iters,
-                self.seed,
-            ),
-            SpecMode::Nsga => format!(
-                "dataset={} suite={} mode=nsga gens={} seed={}",
-                self.dataset.name().to_ascii_lowercase(),
-                self.suite.name(),
-                self.gens,
-                self.seed,
-            ),
-        };
-        if let Some(n) = self.records {
-            out.push_str(&format!(" records={n}"));
-        }
-        match self.mode {
-            SpecMode::Scalar => {
-                if self.drop > 0.0 {
-                    out.push_str(&format!(" drop={}", self.drop));
-                }
-            }
-            SpecMode::Nsga => {
-                if self.offspring != defaults.offspring {
-                    out.push_str(&format!(" offspring={}", self.offspring));
-                }
-                if self.xprob != defaults.xprob {
-                    out.push_str(&format!(" xprob={}", self.xprob));
-                }
-                if !self.obj.is_empty() {
-                    out.push_str(&format!(" obj=il,dr,{}", self.obj.join(",")));
-                }
-                if let Some(eps) = self.eps {
-                    out.push_str(&format!(" eps={eps}"));
-                }
-            }
-        }
-        if self.inc != IncMode::default_for(self.mode) {
-            out.push_str(&format!(" inc={}", self.inc.name()));
-        }
-        if self.link != LinkageMode::default() {
-            out.push_str(&format!(" link={}", link_name(self.link)));
-        }
-        if self.islands != defaults.islands {
-            out.push_str(&format!(" islands={}", self.islands));
-        }
-        if self.mig != defaults.mig {
-            out.push_str(&format!(" mig={}", self.mig));
-        }
-        if self.audit {
-            out.push_str(" audit=true");
-        }
-        out
+        KEYS.iter()
+            .filter(|k| k.modes.contains(&self.mode))
+            .filter_map(|k| Some(format!("{}={}", k.name, (k.render)(self)?)))
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 
     /// Deserialize into a runnable [`ProtectionJob`].
@@ -434,9 +477,22 @@ impl JobSpec {
     pub fn to_job(&self) -> Result<ProtectionJob> {
         let mut builder = ProtectionJob::builder()
             .dataset(self.dataset)
-            .suite_kind(self.suite)
+            .suite_kind(self.suite);
+        if let Some(n) = self.records {
+            builder = builder.records(n);
+        }
+        if self.audit {
+            builder = builder.audit();
+        }
+        Ok(self.optimize(builder).build()?)
+    }
+
+    /// Apply the optimizer keys — mode and its knobs, seed, islands,
+    /// objectives and the ε member — to `builder`. This is the part of a
+    /// job the `cdp optimize --input` mode shares with a spec.
+    pub(crate) fn optimize(&self, builder: ProtectionJobBuilder) -> ProtectionJobBuilder {
+        let mut builder = builder
             .seed(self.seed)
-            .linkage(self.link)
             .islands(self.islands)
             .migration_interval(self.mig);
         builder = match self.mode {
@@ -459,142 +515,68 @@ impl JobSpec {
         if let Some(eps) = self.eps {
             builder = builder.epsilon_pram(eps);
         }
-        if let Some(n) = self.records {
-            builder = builder.records(n);
-        }
-        if self.audit {
-            builder = builder.audit();
-        }
-        Ok(builder.build()?)
+        builder
     }
 
     /// Recover the spec from a [`ProtectionJob`], when the job is
     /// expressible in the CLI grammar (generated source, suite
-    /// population, default knobs) — both optimizer modes round-trip. The
-    /// exact inverse of [`JobSpec::to_job`]:
+    /// population, knobs the grammar carries) — both optimizer modes
+    /// round-trip. The exact inverse of [`JobSpec::to_job`]:
     /// `from_job(spec.to_job()?) == spec`.
     ///
     /// # Errors
     /// [`CliError::Usage`] for jobs carrying values the textual format
     /// cannot represent: loaded tables, custom suites, explicit method
     /// lists, pre-masked populations, `add_protection` extras, a
-    /// generator-seed override, named sensitive audit attributes, or
-    /// non-default metric/evolution knobs.
+    /// generator-seed override, or any knob that does not survive a
+    /// rebuild from the spec (metric, evolution and NSGA-II knobs off
+    /// their defaults, named sensitive audit attributes).
     pub fn from_job(job: &ProtectionJob) -> Result<JobSpec> {
         let unrepresentable =
-            |what: &str| CliError::Usage(format!("{what} is not expressible as a CLI job spec"));
-        let (dataset, records) = match job.source() {
-            DataSource::Generated {
-                kind,
-                records,
-                seed,
-            } => {
-                if seed.is_some() && *seed != Some(job.seed()) {
-                    return Err(unrepresentable("a generator-seed override"));
-                }
-                (*kind, *records)
-            }
-            _ => return Err(unrepresentable("a non-generated data source")),
+            |what: &str| CliError::Usage(format!("not expressible as a CLI job spec: {what}"));
+        let DataSource::Generated {
+            kind,
+            records,
+            seed,
+        } = job.source()
+        else {
+            return Err(unrepresentable("a non-generated data source"));
         };
-        let suite = match job.population() {
-            PopulationSpec::Suite(kind) => *kind,
-            _ => return Err(unrepresentable("a non-suite population recipe")),
+        if seed.is_some_and(|seed| seed != job.seed()) {
+            return Err(unrepresentable("a generator-seed override"));
+        }
+        let PopulationSpec::Suite(suite) = job.population() else {
+            return Err(unrepresentable("a non-suite population recipe"));
         };
         if !job.extras().is_empty() {
             return Err(unrepresentable("an add_protection extra"));
         }
-        if job
-            .audit_spec()
-            .is_some_and(|spec| !spec.sensitive.is_empty())
-        {
-            return Err(unrepresentable("a named sensitive audit attribute"));
-        }
-        // the linkage backend is the one metric knob the grammar carries
-        // (`link=`); everything else must sit at its default
-        let expected_metrics = cdp_metrics::MetricConfig {
-            linkage: job.metrics().linkage,
-            ..cdp_metrics::MetricConfig::default()
-        };
-        if job.metrics() != expected_metrics {
-            return Err(unrepresentable("a non-default metric configuration"));
-        }
+        // read the values the grammar carries …
         let mut spec = JobSpec {
-            dataset,
-            records,
-            suite,
+            dataset: *kind,
+            records: *records,
+            suite: *suite,
             seed: job.seed(),
             audit: job.audit_spec().is_some(),
-            link: job.metrics().linkage,
             ..JobSpec::default()
         };
         match job.optimizer() {
             OptimizerMode::Scalar(evo) => {
-                // the grammar keeps obj=/eps= nsga-only, so a scalar job
-                // carrying an ε-PRAM member has no spelling (the builder
-                // already forbids a non-canonical objective set here)
-                if job.pram_epsilon().is_some() {
-                    return Err(unrepresentable(
-                        "an ε-PRAM member under the scalar optimizer",
-                    ));
-                }
-                // the grammar carries fitness/iters/drop/seed/inc plus the
-                // islands/mig pair; every other evolution knob must sit at
-                // its default
-                let mut expected = cdp_core::EvoConfig {
-                    aggregator: evo.aggregator,
-                    seed: job.seed(),
-                    incremental_mutation: evo.incremental_mutation,
-                    incremental_crossover: evo.incremental_crossover,
-                    islands: cdp_core::IslandConfig {
-                        count: evo.islands.count,
-                        migration_interval: evo.islands.migration_interval,
-                        ..cdp_core::IslandConfig::default()
-                    },
-                    ..cdp_core::EvoConfig::default()
-                };
-                expected.stop.max_iterations = job.iterations().max(1);
-                if evo != expected {
-                    return Err(unrepresentable("a non-default evolution knob"));
-                }
-                spec.mode = SpecMode::Scalar;
                 spec.fitness = evo.aggregator;
                 spec.iters = job.iterations();
                 spec.drop = job.drop_fraction();
+                spec.inc = inc_mode(evo.incremental_mutation, evo.incremental_crossover);
                 spec.islands = evo.islands.count;
                 spec.mig = evo.islands.migration_interval;
-                spec.inc = match (evo.incremental_mutation, evo.incremental_crossover) {
-                    (false, false) => IncMode::Off,
-                    (true, false) => IncMode::Mutation,
-                    (false, true) => IncMode::Crossover,
-                    (true, true) => IncMode::All,
-                };
             }
             OptimizerMode::Nsga(cfg) => {
-                if !cfg.parallel_init {
-                    return Err(unrepresentable("a parallel_init override"));
-                }
-                if cfg.incremental_refresh != NsgaConfig::default().incremental_refresh {
-                    return Err(unrepresentable("an incremental_refresh override"));
-                }
-                let expected_islands = cdp_core::IslandConfig {
-                    count: cfg.islands.count,
-                    migration_interval: cfg.islands.migration_interval,
-                    ..cdp_core::IslandConfig::default()
-                };
-                if cfg.islands != expected_islands {
-                    return Err(unrepresentable("a migration_size override"));
-                }
                 spec.mode = SpecMode::Nsga;
                 spec.gens = cfg.generations;
                 spec.offspring = cfg.offspring;
                 spec.xprob = cfg.crossover_prob;
+                spec.inc = inc_mode(false, cfg.incremental);
                 spec.islands = cfg.islands.count;
                 spec.mig = cfg.islands.migration_interval;
-                spec.inc = if cfg.incremental {
-                    IncMode::Crossover
-                } else {
-                    IncMode::Off
-                };
                 spec.obj = job.objectives().keys()[2..]
                     .iter()
                     .map(|k| (*k).to_string())
@@ -602,59 +584,35 @@ impl JobSpec {
                 spec.eps = job.pram_epsilon();
             }
         }
+        // … and refuse every knob that does not survive a rebuild
+        let back = spec
+            .to_job()
+            .map_err(|_| unrepresentable("an out-of-range knob"))?;
+        let sensitive = |j: &ProtectionJob| j.audit_spec().map(|a| a.sensitive.clone());
+        for (what, same) in [
+            ("optimizer settings", job.optimizer() == back.optimizer()),
+            ("metric configuration", job.metrics() == back.metrics()),
+            ("objective vector", job.objectives() == back.objectives()),
+            ("ε-PRAM member", job.pram_epsilon() == back.pram_epsilon()),
+            ("iteration budget", job.iterations() == back.iterations()),
+            ("drop fraction", job.drop_fraction() == back.drop_fraction()),
+            ("audit configuration", sensitive(job) == sensitive(&back)),
+        ] {
+            if !same {
+                return Err(unrepresentable(&format!("the job's {what}")));
+            }
+        }
         Ok(spec)
     }
 }
 
-/// Parse a `link=` value.
-pub fn parse_link(value: &str) -> Result<LinkageMode> {
-    match value {
-        "pairs" => Ok(LinkageMode::Pairs),
-        "blocked" => Ok(LinkageMode::Blocked),
-        other => Err(CliError::Usage(format!(
-            "unknown link `{other}` (pairs, blocked)"
-        ))),
-    }
-}
-
-/// The CLI spelling of a [`LinkageMode`] (`pairs` / `blocked`).
-pub fn link_name(mode: LinkageMode) -> &'static str {
-    match mode {
-        LinkageMode::Pairs => "pairs",
-        LinkageMode::Blocked => "blocked",
-    }
-}
-
-/// Parse a `--mode` / `mode=` value.
-pub fn parse_mode(value: &str) -> Result<SpecMode> {
-    match value {
-        "scalar" => Ok(SpecMode::Scalar),
-        "nsga" => Ok(SpecMode::Nsga),
-        other => Err(CliError::Usage(format!(
-            "unknown mode `{other}` (scalar, nsga)"
-        ))),
-    }
-}
-
-/// Parse a `--suite` / `suite=` value.
-pub fn parse_suite(value: &str) -> Result<SuiteKind> {
-    match value {
-        "small" => Ok(SuiteKind::Small),
-        "paper" => Ok(SuiteKind::Paper),
-        other => Err(CliError::Usage(format!(
-            "unknown suite `{other}` (small, paper)"
-        ))),
-    }
-}
-
-/// Parse a `--fitness` / `fitness=` value.
-pub fn parse_fitness(value: &str) -> Result<ScoreAggregator> {
-    match value {
-        "mean" => Ok(ScoreAggregator::Mean),
-        "max" => Ok(ScoreAggregator::Max),
-        other => Err(CliError::Usage(format!(
-            "unknown fitness `{other}` (mean, max)"
-        ))),
+/// The `inc=` selector of a pair of incremental-evaluation switches.
+fn inc_mode(mutation: bool, crossover: bool) -> IncMode {
+    match (mutation, crossover) {
+        (false, false) => IncMode::Off,
+        (true, false) => IncMode::Mutation,
+        (false, true) => IncMode::Crossover,
+        (true, true) => IncMode::All,
     }
 }
 
@@ -813,9 +771,9 @@ mod tests {
             "dataset=housing suite=small mode=nsga gens=15 seed=7 inc=xover",
             "dataset=adult suite=small fitness=max iters=250 seed=8 inc=off",
             "dataset=housing suite=small mode=nsga gens=15 seed=9 inc=off",
-            "dataset=adult suite=small fitness=max iters=100 seed=10 link=pairs",
-            "dataset=german suite=small mode=nsga gens=15 seed=11 link=pairs",
-            "dataset=flare suite=paper fitness=mean iters=50 seed=12 link=blocked",
+            "dataset=adult suite=small fitness=max iters=100 seed=10 records=90 inc=xover audit=true",
+            "dataset=german suite=small mode=nsga gens=15 seed=11 offspring=0 xprob=0.25 mig=6",
+            "dataset=flare suite=paper fitness=mean iters=50 seed=12 drop=0.15 islands=3",
             "dataset=adult suite=small fitness=max iters=200 seed=13 islands=4",
             "dataset=german suite=small fitness=mean iters=120 seed=14 islands=2 mig=5",
             "dataset=housing suite=small mode=nsga gens=20 seed=15 islands=3",
@@ -951,7 +909,8 @@ mod tests {
             "dataset=adult mode=nsga gens=0",                 // builder rejects 0 generations
             "dataset=adult mode=nsga xprob=2",                // builder rejects the probability
             "dataset=adult inc=fast",                         // unknown inc value
-            "dataset=adult link=sorted",                      // unknown link value
+            "dataset=adult link=pairs",                       // not a key
+            "dataset=adult records=0",                        // builder rejects 0 records
             "dataset=adult islands=many",                     // bad count
             "dataset=adult islands=0",                        // builder rejects 0 islands
             "dataset=adult mig=0",                            // builder rejects 0 interval
@@ -965,7 +924,9 @@ mod tests {
             "dataset=adult mode=nsga eps=-1.5",               // builder rejects negatives
         ] {
             let result = JobSpec::parse(text).and_then(|s| s.to_job().map(|_| ()));
-            assert!(result.is_err(), "`{text}` should be rejected");
+            let err = result.expect_err(text).to_string();
+            // the error names the offending token, not the whole grammar
+            assert!(err.len() < 256, "`{text}`: {} bytes: {err}", err.len());
         }
     }
 
@@ -990,7 +951,6 @@ mod tests {
             drop_20th in 0u8..20,
             audit in proptest::prelude::any::<bool>(),
             inc_i in 0usize..4,
-            pairs_link in proptest::prelude::any::<bool>(),
             islands in 1usize..=8,
             mig in 1usize..=50,
             obj_i in 0usize..4,
@@ -1008,7 +968,6 @@ mod tests {
                 suite: if paper_suite { SuiteKind::Paper } else { SuiteKind::Small },
                 seed,
                 audit,
-                link: if pairs_link { LinkageMode::Pairs } else { LinkageMode::Blocked },
                 islands,
                 mig,
                 ..JobSpec::default()
@@ -1104,9 +1063,152 @@ mod tests {
                     .build()
                     .unwrap(),
             ),
+            (
+                "all-pairs linkage",
+                ProtectionJob::builder()
+                    .dataset(adult)
+                    .metrics(cdp_metrics::MetricConfig {
+                        linkage: cdp_metrics::LinkageMode::Pairs,
+                        ..cdp_metrics::MetricConfig::default()
+                    })
+                    .build()
+                    .unwrap(),
+            ),
+            (
+                "nsga parallel_init override",
+                ProtectionJob::builder()
+                    .dataset(adult)
+                    .nsga()
+                    .parallel_init(false)
+                    .build()
+                    .unwrap(),
+            ),
+            (
+                "migration size",
+                ProtectionJob::builder()
+                    .dataset(adult)
+                    .migration_size(3)
+                    .build()
+                    .unwrap(),
+            ),
+            (
+                "scalar ε-PRAM member",
+                ProtectionJob::builder()
+                    .dataset(adult)
+                    .epsilon_pram(1.0)
+                    .build()
+                    .unwrap(),
+            ),
+            (
+                "scalar stagnation window",
+                ProtectionJob::builder()
+                    .dataset(adult)
+                    .stagnation(5)
+                    .build()
+                    .unwrap(),
+            ),
         ] {
             let err = JobSpec::from_job(&job).unwrap_err();
             assert!(err.to_string().contains("not expressible"), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn canonical_strings_are_pinned() {
+        // echoed `job:` lines and wire specs are byte-stable: table order
+        // is the canonical order, and keys at their defaults drop out
+        for (text, canonical) in [
+            (
+                "seed=9 dataset=adult",
+                "dataset=adult suite=small fitness=max iters=300 seed=9",
+            ),
+            (
+                "dataset=flare suite=paper fitness=mean iters=250 seed=7 records=120 drop=0.05",
+                "dataset=flare suite=paper fitness=mean iters=250 seed=7 records=120 drop=0.05",
+            ),
+            (
+                "dataset=adult suite=small fitness=max iters=250 seed=4 inc=all",
+                "dataset=adult suite=small fitness=max iters=250 seed=4",
+            ),
+            (
+                "dataset=flare suite=paper fitness=mean iters=100 seed=5 inc=mut",
+                "dataset=flare suite=paper fitness=mean iters=100 seed=5 inc=mut",
+            ),
+            (
+                "dataset=adult suite=small fitness=max iters=100 seed=10 records=90 inc=xover audit=true",
+                "dataset=adult suite=small fitness=max iters=100 seed=10 records=90 inc=xover audit=true",
+            ),
+            (
+                "dataset=german suite=small fitness=mean iters=120 seed=14 islands=2 mig=5",
+                "dataset=german suite=small fitness=mean iters=120 seed=14 islands=2 mig=5",
+            ),
+            (
+                "dataset=housing suite=small mode=nsga gens=15 seed=7 inc=xover",
+                "dataset=housing suite=small mode=nsga gens=15 seed=7",
+            ),
+            (
+                "dataset=housing suite=small mode=nsga gens=15 seed=9 inc=off",
+                "dataset=housing suite=small mode=nsga gens=15 seed=9 inc=off",
+            ),
+            (
+                "dataset=german suite=small mode=nsga gens=15 seed=11 offspring=0 xprob=0.25 mig=6",
+                "dataset=german suite=small mode=nsga gens=15 seed=11 xprob=0.25 mig=6",
+            ),
+            (
+                "dataset=german suite=paper mode=nsga gens=25 seed=9 records=100 offspring=6",
+                "dataset=german suite=paper mode=nsga gens=25 seed=9 records=100 offspring=6",
+            ),
+            (
+                "eps=1.5 obj=il,dr,eps gens=5 mode=nsga dataset=adult",
+                "dataset=adult suite=small mode=nsga gens=5 seed=42 obj=il,dr,eps eps=1.5",
+            ),
+            (
+                "dataset=flare suite=small mode=nsga gens=8 seed=19 obj=il,dr,eps,util eps=0.75 audit=true",
+                "dataset=flare suite=small mode=nsga gens=8 seed=19 obj=il,dr,eps,util eps=0.75 audit=true",
+            ),
+            (
+                "dataset=flare suite=paper mode=nsga gens=30 seed=16 islands=2 mig=4 audit=true",
+                "dataset=flare suite=paper mode=nsga gens=30 seed=16 islands=2 mig=4 audit=true",
+            ),
+            (
+                "audit=false dataset=housing mode=nsga islands=1 mig=10 offspring=0 xprob=0.5 records=7 seed=0 gens=1",
+                "dataset=housing suite=small mode=nsga gens=1 seed=0 records=7",
+            ),
+        ] {
+            assert_eq!(JobSpec::parse(text).unwrap().to_spec_string(), canonical);
+        }
+    }
+
+    #[test]
+    fn bad_values_name_the_key_and_its_accepted_values() {
+        for (text, needles) in [
+            (
+                "dataset=adult fitness=min",
+                ["`fitness`", "`min`", "<mean|max>"],
+            ),
+            (
+                "dataset=adult suite=huge",
+                ["`suite`", "`huge`", "<small|paper>"],
+            ),
+            ("dataset=adult mode=nsga gens=x", ["`gens`", "`x`", "<n>"]),
+        ] {
+            let err = JobSpec::parse(text).unwrap_err().to_string();
+            for needle in needles {
+                assert!(err.contains(needle), "{text}: {err}");
+            }
+        }
+        let err = JobSpec::parse("dataset=adult foo=1")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown key `foo`"), "{err}");
+    }
+
+    #[test]
+    fn optimize_usage_lists_every_key() {
+        let usage = crate::usage_of("optimize").unwrap();
+        for key in KEYS {
+            let line = format!("  {}={}", key.name, key.values);
+            assert!(usage.contains(&line), "usage lacks `{line}`");
         }
     }
 

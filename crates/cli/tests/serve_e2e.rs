@@ -188,3 +188,23 @@ fn wire_errors_are_one_line_and_do_not_kill_the_server() {
 
     server.shutdown();
 }
+
+#[test]
+fn zero_record_jobs_are_rejected_before_any_preparation() {
+    let server = ServerProcess::spawn();
+    let spec = JobSpec::parse("dataset=adult records=0 iters=1 seed=5").unwrap();
+    let replies = request(server.addr, &Request::Job(spec)).unwrap();
+    match replies.as_slice() {
+        [Response::Err(msg)] => assert!(msg.contains("records"), "{msg}"),
+        other => panic!("a 0-record job must draw one ERR line, got {other:?}"),
+    }
+    // the rejected job left no slot behind
+    match request(server.addr, &Request::Stats).unwrap().as_slice() {
+        [Response::Stats(stats)] => {
+            assert_eq!(stats.preparations, 0, "{stats:?}");
+            assert_eq!(stats.cached, 0, "{stats:?}");
+        }
+        other => panic!("unexpected STATS reply: {other:?}"),
+    }
+    server.shutdown();
+}

@@ -28,8 +28,8 @@
 //! * [`pipeline`] — the unified job API: [`pipeline::ProtectionJob`] (one
 //!   declarative builder for the whole mask → score → evolve → audit
 //!   workflow, scalar or NSGA-II via [`pipeline::OptimizerMode`]),
-//!   [`pipeline::Session`] (evaluator preparation amortized across jobs of
-//!   either mode), and [`pipeline::JobReport`] (mode-aware
+//!   [`pipeline::Session`] (another name for [`pipeline::SharedSession`]:
+//!   evaluator preparation amortized across jobs of either mode), and [`pipeline::JobReport`] (mode-aware
 //!   [`pipeline::JobOutcome`]).
 //!
 //! ## Quickstart
@@ -40,10 +40,10 @@
 //! bit-identical to full scoring — opt out with
 //! `.incremental_mutation(false).incremental_crossover(false)` if you want
 //! to pay the full O(n²) per offspring), and the linkage measures run on
-//! the blocked distinct-pattern scans by default (`link=blocked` in the
-//! CLI job grammar; `.linkage(LinkageMode::Pairs)` or `link=pairs` opts
-//! back into the all-pairs reference scans — the credits, and hence every
-//! published number, are identical either way):
+//! blocked distinct-pattern scans (the all-pairs reference scans stay
+//! reachable through `.metrics(MetricConfig { linkage: LinkageMode::Pairs,
+//! .. })` — the credits, and hence every published number, are identical
+//! either way):
 //!
 //! ```
 //! use cdp::prelude::*;
@@ -144,9 +144,8 @@
 //! ## Serving jobs concurrently — `cdp serve`
 //!
 //! The pipeline doubles as a long-lived protection service. A
-//! [`pipeline::SharedSession`] is the concurrency-safe form of
-//! [`pipeline::Session`] — cloneable, `&self` methods, one shared
-//! evaluator cache — so N threads (or N clients of the `cdp serve`
+//! [`pipeline::SharedSession`] is cloneable with `&self` methods and one
+//! shared evaluator cache, so N threads (or N clients of the `cdp serve`
 //! subcommand) running jobs against the same original trigger exactly
 //! **one** preparation; the rest block briefly on that key and then hit
 //! the cache. [`pipeline::SessionStats`] reports the counters (also

@@ -5,13 +5,13 @@ use std::fmt;
 use cdp_core::{EvoConfig, NsgaConfig, OperatorSchedule, ReplacementPolicy, SelectionWeighting};
 use cdp_dataset::generators::{Dataset, DatasetKind, GeneratorConfig};
 use cdp_dataset::{stats, AttrKind, Hierarchy, SubTable, Table};
-use cdp_metrics::{LinkageMode, MetricConfig, ObjectiveSet, ScoreAggregator};
+use cdp_metrics::{MetricConfig, ObjectiveSet, ScoreAggregator};
 use cdp_sdc::{build_population_from, MethodContext, Pram, ProtectionMethod, SuiteConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::report::JobReport;
-use super::session::Session;
+use super::shared::Session;
 use super::shared::SnapshotCacheConfig;
 use super::stages::JobEvent;
 use super::{PipelineError, Result};
@@ -686,18 +686,13 @@ impl ProtectionJobBuilder {
         self
     }
 
-    /// Measure parameters (interval fraction, RSRL window, EM iterations).
+    /// Measure parameters (interval fraction, RSRL window, EM iterations,
+    /// and the linkage scan: the default blocked pattern-index scans, or
+    /// the all-pairs reference via
+    /// `MetricConfig { linkage: LinkageMode::Pairs, .. }` — the credits,
+    /// and hence every published result, are identical either way).
     pub fn metrics(mut self, cfg: MetricConfig) -> Self {
         self.metrics = cfg;
-        self
-    }
-
-    /// DBRL/RSRL scan backend: the default [`LinkageMode::Blocked`]
-    /// pattern-index scans, or the all-pairs [`LinkageMode::Pairs`]
-    /// reference. Credits — and hence every published result — are
-    /// identical either way; the CLI spells this `link=<pairs|blocked>`.
-    pub fn linkage(mut self, mode: LinkageMode) -> Self {
-        self.metrics.linkage = mode;
         self
     }
 
@@ -928,9 +923,10 @@ impl ProtectionJobBuilder {
     /// Validate and finish.
     ///
     /// # Errors
-    /// [`PipelineError::InvalidJob`] when no source was given, `copies` is
-    /// zero, the drop fraction is out of range, or the evolution knobs are
-    /// invalid; [`PipelineError::Evolution`] wraps the latter.
+    /// [`PipelineError::InvalidJob`] when no source was given, a generated
+    /// source asks for zero records, `copies` is zero, the drop fraction
+    /// is out of range, or the evolution knobs are invalid;
+    /// [`PipelineError::Evolution`] wraps the latter.
     pub fn build(mut self) -> Result<ProtectionJob> {
         let mut source = self.source.take().ok_or_else(|| {
             PipelineError::InvalidJob(
@@ -940,6 +936,11 @@ impl ProtectionJobBuilder {
         if let DataSource::Generated { records, seed, .. } = &mut source {
             if self.records.is_some() {
                 *records = self.records;
+            }
+            if *records == Some(0) {
+                return Err(PipelineError::InvalidJob(
+                    "records must be at least 1".into(),
+                ));
             }
             if self.generator_seed.is_some() {
                 *seed = self.generator_seed;
@@ -1086,6 +1087,14 @@ mod tests {
                 ProtectionJob::builder()
                     .dataset(DatasetKind::Adult)
                     .copies(0)
+                    .build()
+                    .map(|_| ()),
+            ),
+            (
+                "records",
+                ProtectionJob::builder()
+                    .dataset(DatasetKind::Adult)
+                    .records(0)
                     .build()
                     .map(|_| ()),
             ),

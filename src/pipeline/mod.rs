@@ -15,15 +15,16 @@
 //!   Pareto dominance), evolution knobs, stop conditions and an optional
 //!   privacy audit. Built with [`ProtectionJob::builder`], executed with
 //!   [`ProtectionJob::run`].
-//! * [`Session`] — an execution context that caches the prepared
-//!   original-side statistics ([`cdp_metrics::PreparedOriginal`] inside an
+//! * [`SharedSession`] (also named [`Session`]) — an execution context
+//!   that caches the prepared original-side statistics
+//!   ([`cdp_metrics::PreparedOriginal`] inside an
 //!   [`cdp_metrics::Evaluator`]), so repeated jobs against the same
 //!   original skip re-preparation — scalar and NSGA-II jobs share the one
 //!   cache. One session can serve many jobs — the CLI, the bench harness
-//!   and the `cdp serve` protection server all drive this cache;
-//!   [`SharedSession`] is its thread-safe form (cloneable, `&self`
-//!   methods, exactly-once preparation under concurrency) and
-//!   [`SessionStats`] its observability counters.
+//!   and the `cdp serve` protection server all drive this cache. It is
+//!   cloneable with `&self` methods and prepares each original exactly
+//!   once under concurrency; [`SessionStats`] are its observability
+//!   counters.
 //! * [`JobReport`] — everything a run produces: the mode-aware
 //!   [`JobOutcome`] (scalar [`cdp_core::EvolutionOutcome`] telemetry, or a
 //!   Pareto [`Front`] with hypervolume trajectory), the winning protection
@@ -55,7 +56,6 @@
 
 mod job;
 mod report;
-mod session;
 mod shared;
 mod stages;
 
@@ -66,8 +66,7 @@ pub use job::{
     SourceData, SuiteKind,
 };
 pub use report::{BestProtection, Front, JobOutcome, JobReport};
-pub use session::Session;
-pub use shared::{CacheEntryStats, SessionStats, SharedSession, SnapshotCacheConfig};
+pub use shared::{CacheEntryStats, Session, SessionStats, SharedSession, SnapshotCacheConfig};
 pub use stages::JobEvent;
 
 /// Everything that can go wrong while describing or executing a job.

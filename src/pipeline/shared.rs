@@ -14,9 +14,8 @@
 //!    the registry) and wake up to a cache hit.
 //!
 //! Distinct originals prepare in parallel; the same original prepares
-//! once no matter how many threads ask for it. [`Session`] (the
-//! single-threaded API every example and the bench harness use) is a thin
-//! wrapper over this type since the server refactor.
+//! once no matter how many threads ask for it. [`Session`] is another
+//! name for the same type.
 //!
 //! # The snapshot tier
 //!
@@ -33,8 +32,6 @@
 //!   are demoted ([`SessionStats::evictions`]) — their evaluators drop
 //!   from memory but fault back from disk on the next request, never
 //!   re-preparing.
-//!
-//! [`Session`]: super::Session
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,12 +86,10 @@ impl SnapshotCacheConfig {
     }
 }
 
-/// Cache observability counters of a session ([`SharedSession::stats`] /
-/// [`Session::stats`]): how much preparation work the evaluator cache
-/// amortized. Under server load, `hits / (hits + misses)` — the cache hit
-/// rate — is the headline metric.
-///
-/// [`Session::stats`]: super::Session::stats
+/// Cache observability counters of a session ([`SharedSession::stats`]):
+/// how much preparation work the evaluator cache amortized. Under server
+/// load, `hits / (hits + misses)` — the cache hit rate — is the headline
+/// metric.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Evaluator preparations actually performed (the expensive cold
@@ -210,8 +205,15 @@ struct SharedCache {
     clock: AtomicUsize,
 }
 
-/// A cloneable, thread-safe job execution context: the evaluator cache of
-/// [`Session`], shareable across threads.
+/// A cloneable, thread-safe job execution context that caches prepared
+/// originals.
+///
+/// Preparing an [`Evaluator`] computes the original file's ranks,
+/// marginals, contingency tables and chance-agreement probabilities —
+/// work that depends only on the original, not on the job. A session
+/// keeps those preparations, so sweeps (many jobs over one original) and
+/// the protection server (many requests over few originals) pay the cost
+/// once.
 ///
 /// Clones are shallow — every clone sees (and feeds) the same cache and
 /// the same [`SessionStats`] counters. All methods take `&self`, so one
@@ -240,12 +242,31 @@ struct SharedCache {
 /// assert_eq!(stats.preparations, 1); // the second job waited, then hit
 /// assert_eq!(stats.hits, 1);
 /// ```
-///
-/// [`Session`]: super::Session
 #[derive(Clone, Default)]
 pub struct SharedSession {
     cache: Arc<SharedCache>,
 }
+
+/// The name examples, the bench harness and the CLI use for a
+/// [`SharedSession`]: one session running jobs in sequence.
+///
+/// ```
+/// use cdp::prelude::*;
+///
+/// let job = ProtectionJob::builder()
+///     .dataset(DatasetKind::German)
+///     .records(80)
+///     .iterations(10)
+///     .seed(3)
+///     .build()
+///     .unwrap();
+/// let session = Session::new();
+/// session.run(&job).unwrap();
+/// session.run(&job).unwrap(); // same original: no second preparation
+/// assert_eq!(session.stats().preparations, 1);
+/// assert_eq!(session.stats().hits, 1);
+/// ```
+pub type Session = SharedSession;
 
 impl SharedSession {
     /// An empty shared session.
@@ -519,20 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_run_matches_owned_session_bit_for_bit() {
-        let job = tiny_job(DatasetKind::German, 11, 6);
-        let shared = SharedSession::new().run(&job).unwrap();
-        let owned = super::super::Session::new().run(&job).unwrap();
-        assert_eq!(shared.best.assessment, owned.best.assessment);
-        assert_eq!(shared.best.name, owned.best.name);
-        assert_eq!(shared.best.data, owned.best.data);
-        assert_eq!(shared.points.len(), owned.points.len());
-        for (a, b) in shared.points.iter().zip(&owned.points) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn clear_drops_slots_but_keeps_history() {
         let session = SharedSession::new();
         let job = tiny_job(DatasetKind::Flare, 3, 2);
@@ -543,7 +550,8 @@ mod tests {
         assert_eq!(stats.cached, 0);
         assert_eq!(stats.approx_bytes, 0);
         assert_eq!(stats.preparations, 1, "history survives the clear");
-        session.run(&job).unwrap();
+        let rerun = session.run(&job).unwrap();
+        assert!(!rerun.evaluator_reused, "a cleared cache prepares again");
         assert_eq!(session.stats().preparations, 2);
     }
 
@@ -759,5 +767,330 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn second_job_reuses_the_preparation() {
+        let session = SharedSession::new();
+        let a = tiny_job(DatasetKind::Adult, 7, 5);
+        let b = tiny_job(DatasetKind::Adult, 7, 8); // same original, new budget
+        let ra = session.run(&a).unwrap();
+        let rb = session.run(&b).unwrap();
+        assert!(!ra.evaluator_reused);
+        assert!(rb.evaluator_reused);
+        assert_eq!(session.stats().preparations, 1);
+        assert_eq!(session.stats().cached, 1);
+        let stats = session.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn different_original_prepares_again() {
+        let session = SharedSession::new();
+        session.run(&tiny_job(DatasetKind::Adult, 7, 5)).unwrap();
+        session.run(&tiny_job(DatasetKind::German, 7, 5)).unwrap();
+        // same dataset, different generator seed -> different original
+        session.run(&tiny_job(DatasetKind::Adult, 8, 5)).unwrap();
+        assert_eq!(session.stats().preparations, 3);
+    }
+
+    #[test]
+    fn shared_clone_feeds_the_same_cache() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::Adult, 9, 3);
+        session.run(&job).unwrap();
+        let report = session.clone().run(&job).unwrap();
+        assert!(report.evaluator_reused, "clone sees the session's cache");
+        assert_eq!(session.stats().preparations, 1);
+        assert_eq!(session.stats().hits, 1);
+    }
+
+    fn tag_of(e: &JobEvent) -> &'static str {
+        match e {
+            JobEvent::SourceReady { .. } => "source",
+            JobEvent::EvaluatorReady { .. } => "evaluator",
+            JobEvent::CacheStats(_) => "cache",
+            JobEvent::PopulationReady { .. } => "population",
+            JobEvent::Generation(_) => "generation",
+            JobEvent::FrontAdvanced { .. } => "front",
+            JobEvent::IslandGeneration { .. } => "island-generation",
+            JobEvent::IslandFront { .. } => "island-front",
+            JobEvent::Migration { .. } => "migration",
+            JobEvent::EvolutionFinished { .. } => "finished",
+            JobEvent::AuditReady => "audit",
+        }
+    }
+
+    #[test]
+    fn events_stream_in_stage_order() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::German, 5, 6);
+        let mut tags = Vec::new();
+        session.run_with(&job, |e| tags.push(tag_of(e))).unwrap();
+        assert_eq!(tags[..4], ["source", "evaluator", "cache", "population"]);
+        assert_eq!(tags.iter().filter(|t| **t == "generation").count(), 6);
+        assert!(!tags.contains(&"front"), "scalar jobs emit no front events");
+        assert_eq!(*tags.last().unwrap(), "finished");
+    }
+
+    #[test]
+    fn cache_stats_event_reports_the_session_counters() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::Adult, 6, 2);
+        let mut snapshots = Vec::new();
+        for _ in 0..2 {
+            session
+                .run_with(&job, |e| {
+                    if let JobEvent::CacheStats(s) = e {
+                        snapshots.push(s.clone());
+                    }
+                })
+                .unwrap();
+        }
+        assert_eq!(snapshots.len(), 2);
+        // first job: fresh miss, one preparation; second: pure hit
+        assert_eq!((snapshots[0].misses, snapshots[0].hits), (1, 0));
+        assert_eq!(snapshots[0].preparations, 1);
+        assert_eq!((snapshots[1].misses, snapshots[1].hits), (1, 1));
+        assert_eq!(snapshots[1].preparations, 1);
+        assert_eq!(snapshots[1].hit_rate(), Some(0.5));
+        assert_eq!(snapshots[1], session.stats(), "final snapshot is current");
+    }
+
+    #[test]
+    fn nsga_job_streams_front_events_on_the_same_channel() {
+        let session = SharedSession::new();
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .nsga()
+            .iterations(4)
+            .seed(5)
+            .build()
+            .unwrap();
+        let mut tags = Vec::new();
+        let mut fronts = Vec::new();
+        session
+            .run_with(&job, |e| {
+                tags.push(tag_of(e));
+                if let JobEvent::FrontAdvanced {
+                    generation,
+                    front_size,
+                    hypervolume,
+                    ideal,
+                } = e
+                {
+                    // the ideal point leads with the canonical pair and
+                    // is a per-objective lower bound of the front
+                    assert_eq!(ideal.len(), 2, "default jobs keep the pair");
+                    fronts.push((*generation, *front_size, *hypervolume));
+                }
+            })
+            .unwrap();
+        assert_eq!(tags[..4], ["source", "evaluator", "cache", "population"]);
+        assert_eq!(tags.iter().filter(|t| **t == "front").count(), 4);
+        assert!(!tags.contains(&"generation"), "nsga emits front events");
+        assert_eq!(*tags.last().unwrap(), "finished");
+        let report = session.run(&job).unwrap();
+        let front = report.front().expect("nsga outcome");
+        // event stream and report trajectory agree
+        for (generation, front_size, hv) in fronts {
+            assert_eq!(front.hypervolume[generation], hv);
+            assert!(front_size >= 1);
+        }
+        assert_eq!(front.generations_run(), 4);
+    }
+
+    #[test]
+    fn island_job_streams_per_island_events_deterministically() {
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .iterations(24)
+            .islands(3)
+            .migration_interval(4)
+            .seed(5)
+            .build()
+            .unwrap();
+        let run = || {
+            let session = SharedSession::new();
+            let mut tags = Vec::new();
+            let mut events = Vec::new();
+            let report = session
+                .run_with(&job, |e| {
+                    tags.push(tag_of(e));
+                    events.push(e.clone());
+                })
+                .unwrap();
+            (tags, events, report)
+        };
+        let (tags, events, report) = run();
+        assert_eq!(tags[..4], ["source", "evaluator", "cache", "population"]);
+        assert!(
+            !tags.contains(&"generation"),
+            "island jobs emit per-island events instead of the legacy kind"
+        );
+        assert_eq!(
+            tags.iter().filter(|t| **t == "island-generation").count(),
+            24,
+            "the iteration budget is split across islands, not multiplied"
+        );
+        assert!(tags.contains(&"migration"));
+        assert_eq!(*tags.last().unwrap(), "finished");
+
+        // same job, fresh session: bit-identical events and winner
+        let (_, events2, report2) = run();
+        assert_eq!(events, events2);
+        assert_eq!(report.best.data, report2.best.data);
+    }
+
+    #[test]
+    fn island_nsga_job_streams_island_front_events() {
+        let session = SharedSession::new();
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .nsga()
+            .iterations(4)
+            .islands(2)
+            .migration_interval(2)
+            .seed(5)
+            .build()
+            .unwrap();
+        let mut tags = Vec::new();
+        session.run_with(&job, |e| tags.push(tag_of(e))).unwrap();
+        // each island runs the full generation count on its subpopulation
+        assert_eq!(tags.iter().filter(|t| **t == "island-front").count(), 8);
+        assert!(!tags.contains(&"front"), "island jobs use per-island kinds");
+        assert!(tags.contains(&"migration"));
+        assert_eq!(*tags.last().unwrap(), "finished");
+    }
+
+    #[test]
+    fn event_kinds_follow_the_configured_island_count() {
+        let tags_of = |job: &ProtectionJob| {
+            let mut tags = Vec::new();
+            SharedSession::new()
+                .run_with(job, |e| tags.push(tag_of(e)))
+                .unwrap();
+            tags
+        };
+        let island_kinds = ["island-generation", "island-front", "migration"];
+        // one island: the legacy kinds only, in both modes
+        let scalar = tags_of(&tiny_job(DatasetKind::German, 5, 6));
+        let nsga = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .nsga()
+            .iterations(3)
+            .seed(5)
+            .build()
+            .unwrap();
+        let nsga = tags_of(&nsga);
+        for tags in [&scalar, &nsga] {
+            assert!(tags.iter().all(|t| !island_kinds.contains(t)));
+        }
+        assert_eq!(scalar.iter().filter(|t| **t == "generation").count(), 6);
+        assert_eq!(nsga.iter().filter(|t| **t == "front").count(), 3);
+        // three islands configured, but dropping leaders leaves a single
+        // member: the run is single-population, the events per-island
+        let dropped = ProtectionJob::builder()
+            .dataset(DatasetKind::German)
+            .records(60)
+            .iterations(6)
+            .islands(3)
+            .drop_best_fraction(0.99)
+            .seed(5)
+            .build()
+            .unwrap();
+        let dropped = tags_of(&dropped);
+        assert!(!dropped.contains(&"generation"));
+        assert_eq!(
+            dropped
+                .iter()
+                .filter(|t| **t == "island-generation")
+                .count(),
+            6
+        );
+    }
+
+    #[test]
+    fn snapshot_rehydrated_jobs_are_bit_identical_in_both_modes() {
+        for nsga in [false, true] {
+            let dir = snap_dir(if nsga { "job-nsga" } else { "job-scalar" });
+            let mut builder = ProtectionJob::builder()
+                .dataset(DatasetKind::German)
+                .records(60)
+                .iterations(4)
+                .seed(5)
+                .snapshot_cache(SnapshotCacheConfig::new(&dir));
+            if nsga {
+                builder = builder.nsga();
+            }
+            let job = builder.build().unwrap();
+            // cold run: prepares and writes the snapshot
+            let cold = SharedSession::new();
+            let report_cold = cold.run(&job).unwrap();
+            assert_eq!(cold.stats().snapshot_misses, 1);
+            assert_eq!(cold.stats().preparations, 1);
+            // fresh session (a new process, in effect): rehydrates
+            let warm = SharedSession::new();
+            let report_warm = warm.run(&job).unwrap();
+            assert_eq!(warm.stats().preparations, 0, "served entirely from disk");
+            assert_eq!(warm.stats().snapshot_hits, 1);
+            assert!(report_warm.evaluator_reused);
+            // whole job output, bit for bit
+            assert_eq!(report_cold.best.assessment, report_warm.best.assessment);
+            assert_eq!(report_cold.best.data, report_warm.best.data);
+            assert_eq!(report_cold.points, report_warm.points);
+        }
+    }
+
+    #[test]
+    fn cache_stats_event_carries_the_snapshot_counters() {
+        let dir = snap_dir("event-counters");
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::Adult)
+            .records(60)
+            .iterations(2)
+            .seed(6)
+            .snapshot_cache(SnapshotCacheConfig::new(&dir))
+            .build()
+            .unwrap();
+        let session = SharedSession::new();
+        session.run(&job).unwrap();
+        let mut seen = None;
+        SharedSession::new()
+            .run_with(&job, |e| {
+                if let JobEvent::CacheStats(s) = e {
+                    seen = Some(s.clone());
+                }
+            })
+            .unwrap();
+        let stats = seen.expect("jobs stream a CacheStats event");
+        assert_eq!(stats.snapshot_hits, 1, "second session loads from disk");
+        assert_eq!(stats.preparations, 0);
+    }
+
+    #[test]
+    fn mask_only_job_scores_without_evolving() {
+        let session = SharedSession::new();
+        let job = ProtectionJob::builder()
+            .dataset(DatasetKind::Adult)
+            .records(60)
+            .iterations(0)
+            .seed(4)
+            .build()
+            .unwrap();
+        let report = session.run(&job).unwrap();
+        assert!(report.outcome.is_scored_only());
+        assert_eq!(report.points.len(), report.population_size);
+        let best_score = report
+            .points
+            .iter()
+            .map(|p| p.score)
+            .fold(f64::INFINITY, f64::min);
+        let agg = job.evo_config().aggregator;
+        assert!((report.best.assessment.score(agg) - best_score).abs() < 1e-12);
     }
 }
