@@ -550,8 +550,18 @@ mod tests {
         assert_eq!(stats.cached, 0);
         assert_eq!(stats.approx_bytes, 0);
         assert_eq!(stats.preparations, 1, "history survives the clear");
-        let rerun = session.run(&job).unwrap();
-        assert!(!rerun.evaluator_reused, "a cleared cache prepares again");
+        session.run(&job).unwrap();
+        assert_eq!(session.stats().preparations, 2);
+    }
+
+    #[test]
+    fn clear_forgets_preparations() {
+        let session = SharedSession::new();
+        let job = tiny_job(DatasetKind::Flare, 3, 5);
+        session.run(&job).unwrap();
+        session.clear();
+        let r = session.run(&job).unwrap();
+        assert!(!r.evaluator_reused, "a cleared cache prepares again");
         assert_eq!(session.stats().preparations, 2);
     }
 
@@ -782,6 +792,23 @@ mod tests {
         assert_eq!(session.stats().cached, 1);
         let stats = session.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn cache_hit_run_matches_cold_run_bit_for_bit() {
+        let job = tiny_job(DatasetKind::German, 11, 6);
+        let cold = SharedSession::new().run(&job).unwrap();
+        let session = SharedSession::new();
+        // same original, other budget: leaves a prepared evaluator behind
+        session.run(&tiny_job(DatasetKind::German, 11, 2)).unwrap();
+        let warm = session.run(&job).unwrap();
+        assert!(!cold.evaluator_reused);
+        assert!(warm.evaluator_reused);
+        assert_eq!(session.stats().preparations, 1);
+        assert_eq!(cold.best.assessment, warm.best.assessment);
+        assert_eq!(cold.best.name, warm.best.name);
+        assert_eq!(cold.best.data, warm.best.data);
+        assert_eq!(cold.points, warm.points);
     }
 
     #[test]
