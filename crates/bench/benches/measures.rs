@@ -1,8 +1,12 @@
-//! Per-measure cost across record counts.
+//! Per-measure cost of the standalone reference implementations across
+//! record counts.
 //!
-//! The paper names fitness cost its major drawback; this bench shows where
-//! it goes: the three O(n²) linkage measures dwarf the O(n) information-
-//! loss measures, and the gap widens quadratically with the file size.
+//! The linkage rows time the all-pairs O(n²) reference scans
+//! (`linkage::{dbrl, prl, rsrl}`), which dwarf the O(n) information-loss
+//! measures and grow quadratically with the file size. This is not the
+//! fitness cost: `Evaluator::assess` links over distinct patterns
+//! (`LinkageMode::Blocked`) and derives PRL from a pattern census, so its
+//! cost is measured by `evaluator_bench`, not here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

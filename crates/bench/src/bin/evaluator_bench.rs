@@ -138,9 +138,8 @@ fn micro_row(rows: usize, assess_reps: usize, seed: u64) -> MicroRow {
     }
     let ns_assess = t0.elapsed().as_nanos() as f64 / assess_reps as f64;
 
-    // single-cell patches into a reused scratch (the mutation path's shape)
+    // single-cell patches returning owned states (the mutation path's shape)
     let state = ev.assess(&masked);
-    let mut scratch = state.clone();
     let cell_reps = (assess_reps * 16).max(32);
     let t0 = Instant::now();
     for _ in 0..cell_reps {
@@ -149,7 +148,7 @@ fn micro_row(rows: usize, assess_reps: usize, seed: u64) -> MicroRow {
         let c = masked.attr(k).n_categories() as Code;
         let old = masked.get(row, k);
         masked.set(row, k, rng.gen_range(0..c));
-        ev.reassess_into(&state, &masked, &Patch::cell(row, k, old), &mut scratch);
+        std::hint::black_box(ev.reassess(&state, &masked, &Patch::cell(row, k, old)));
         masked.set(row, k, old); // revert so `state` stays the baseline
     }
     let ns_reassess_cell = t0.elapsed().as_nanos() as f64 / cell_reps as f64;

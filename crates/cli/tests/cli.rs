@@ -329,3 +329,42 @@ fn evaluate_misaligned_files_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("aligned"));
 }
+
+#[test]
+fn more_than_twenty_attributes_fails_with_a_typed_error() {
+    // 40 rows × 21 two-category columns: one attribute past the PRL
+    // census's 2^a limit
+    let dir = workdir("wide21");
+    let csv = dir.join("wide21.csv");
+    let header: Vec<String> = (0..21).map(|k| format!("c{k}")).collect();
+    let mut text = header.join(",") + "\n";
+    for r in 0..40 {
+        let row: Vec<&str> = (0..21)
+            .map(|k| if (r + k) % 3 == 0 { "a" } else { "b" })
+            .collect();
+        text += &(row.join(",") + "\n");
+    }
+    std::fs::write(&csv, text).unwrap();
+    let path = csv.to_str().unwrap();
+    let out_dir = dir.join("opt");
+    for args in [
+        vec!["evaluate", "--original", path, "--masked", path],
+        vec![
+            "optimize",
+            "--input",
+            path,
+            "--iters",
+            "2",
+            "--out",
+            out_dir.to_str().unwrap(),
+        ],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "cdp {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("21 protected attributes; at most 20 are supported"),
+            "cdp {args:?}: {stderr}"
+        );
+    }
+}

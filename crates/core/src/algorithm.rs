@@ -11,7 +11,7 @@ use crate::config::{EvoConfig, IslandConfig};
 use crate::individual::Individual;
 use crate::islands::{budget_share, deal, island_hash, EpochRunner, IslandEvent, IslandMode};
 use crate::operators::{crossover, mutate, OperatorKind};
-use crate::parallel::{evaluate_all, evaluate_tasks, EvalTask, MIN_PARALLEL_EVAL_ROWS};
+use crate::parallel::{evaluate_tasks, load_population, EvalTask, MIN_PARALLEL_EVAL_ROWS};
 use crate::population::Population;
 use crate::replacement::offspring_wins;
 use crate::selection::select_leader;
@@ -19,32 +19,51 @@ use crate::telemetry::{EvalCounts, GenerationStats, ScatterPoint, Trace};
 use crate::{EvoError, Result};
 
 /// Mutable per-run evaluation bookkeeping threaded through the generation
-/// steps: the full/incremental call counters, the reusable scratch state of
-/// the mutation path, and the cross-check counter.
+/// steps: the full/incremental call counters and the cross-check counter.
+#[derive(Default)]
 struct StepCtx {
     evals: EvalCounts,
-    scratch: Option<EvalState>,
     accepted_incremental: usize,
 }
 
 impl StepCtx {
-    fn new() -> Self {
-        StepCtx {
-            evals: EvalCounts::default(),
-            scratch: None,
-            accepted_incremental: 0,
+    /// Score one step's offspring: evaluate the tasks (concurrently when
+    /// `parallel`), count them by path, and — when the verification policy
+    /// is due ([`EvoConfig::incremental_refresh`]) — assert that every
+    /// patched state equals a full assessment of the same file.
+    fn evaluate(
+        &mut self,
+        evaluator: &Evaluator,
+        cfg: &EvoConfig,
+        tasks: &[EvalTask<'_>],
+        parallel: bool,
+    ) -> Vec<EvalState> {
+        let states = evaluate_tasks(evaluator, tasks, parallel);
+        let patched: Vec<(EvalTask<'_>, &EvalState)> = tasks
+            .iter()
+            .zip(&states)
+            .filter_map(|(task, state)| match task {
+                EvalTask::Patch { masked, .. } => Some((EvalTask::Full(masked), state)),
+                EvalTask::Full(_) => None,
+            })
+            .collect();
+        self.evals.full += tasks.len() - patched.len();
+        self.evals.incremental += patched.len();
+        let due =
+            cfg.incremental_refresh > 0 && self.accepted_incremental >= cfg.incremental_refresh;
+        if due && !patched.is_empty() {
+            let (full_tasks, patched_states): (Vec<_>, Vec<_>) = patched.into_iter().unzip();
+            let fulls = evaluate_tasks(evaluator, &full_tasks, parallel);
+            self.evals.full += fulls.len();
+            for (state, full) in patched_states.into_iter().zip(&fulls) {
+                assert_eq!(
+                    state.assessment, full.assessment,
+                    "incremental offspring state diverged from the full assessment"
+                );
+            }
+            self.accepted_incremental = 0;
         }
-    }
-
-    /// Whether the verification policy demands a full-assessment
-    /// cross-check now ([`EvoConfig::incremental_refresh`]).
-    fn verify_due(&self, cfg: &EvoConfig) -> bool {
-        cfg.incremental_refresh > 0 && self.accepted_incremental >= cfg.incremental_refresh
-    }
-
-    /// A cross-check ran: restart the interval.
-    fn note_verified(&mut self) {
-        self.accepted_incremental = 0;
+        states
     }
 }
 
@@ -83,26 +102,13 @@ impl Evolution {
         I::Item: Into<(String, SubTable)>,
     {
         self.config.validate()?;
-        let items: Vec<(String, SubTable)> = items.into_iter().map(Into::into).collect();
-        if items.is_empty() {
-            return Err(EvoError::EmptyPopulation);
-        }
-        for (name, data) in &items {
-            self.evaluator
-                .prepared()
-                .check_compatible(data)
-                .map_err(|source| EvoError::IncompatibleIndividual {
-                    name: name.clone(),
-                    source,
-                })?;
-        }
-        let states = evaluate_all(&self.evaluator, &items, self.config.parallel_init);
-        self.initial_evaluations = items.len();
-        let members = items
-            .into_iter()
-            .zip(states)
-            .map(|((name, data), state)| Individual::new(name, data, state, self.config.aggregator))
-            .collect();
+        let members = load_population(
+            &self.evaluator,
+            items,
+            self.config.parallel_init,
+            self.config.aggregator,
+        )?;
+        self.initial_evaluations = members.len();
         self.population = Some(Population::new(members));
         Ok(self)
     }
@@ -142,10 +148,9 @@ impl Evolution {
     /// survived.
     ///
     /// With [`EvoConfig::incremental_mutation`] the child is scored by
-    /// patching the parent's cached state into the run's scratch buffer —
-    /// rejected offspring pay no state-sized allocations (only the rank
-    /// rebuild's O(c) scratch inside the evaluator), accepted ones pay one
-    /// state clone. The patched assessment is bit-identical to a full one;
+    /// patching the parent's cached state with the mutated cell
+    /// ([`Evaluator::reassess`]); otherwise by a full assessment. The
+    /// patched assessment is bit-identical to a full one;
     /// [`EvoConfig::incremental_refresh`] optionally asserts exactly that,
     /// every K accepted offspring.
     fn mutation_step(
@@ -161,61 +166,24 @@ impl Evolution {
         let Some(mu) = mutate(&mut child_data, rng) else {
             return false;
         };
-        let agg = self.config.aggregator;
-        if self.config.incremental_mutation {
-            let patch = Patch::cell(mu.row, mu.attr, mu.old);
-            let parent_score = parent.score();
-            let name = parent.name.clone();
-            let assessment = match ctx.scratch.as_mut() {
-                Some(s) => {
-                    self.evaluator
-                        .reassess_into(parent.state(), &child_data, &patch, s);
-                    s.assessment
-                }
-                None => {
-                    ctx.scratch =
-                        Some(self.evaluator.reassess(parent.state(), &child_data, &patch));
-                    ctx.scratch.as_ref().expect("just set").assessment
-                }
-            };
-            ctx.evals.incremental += 1;
-            if ctx.verify_due(&self.config) {
-                let full = self.evaluator.assess(&child_data);
-                ctx.evals.full += 1;
-                assert_eq!(
-                    assessment, full.assessment,
-                    "incremental mutation state diverged from the full assessment"
-                );
-                ctx.note_verified();
-            }
-            let score = assessment.score(agg);
-            archive.offer(ScatterPoint::from_pair(
-                name.clone(),
-                assessment.il(),
-                assessment.dr(),
-                score,
-            ));
-            if offspring_wins(parent_score, score) {
-                ctx.accepted_incremental += 1;
-                let state = ctx.scratch.as_ref().expect("scratch just filled");
-                let child = Individual::from_scratch(name, child_data, state, agg);
-                pop.replace(i, child);
-                true
-            } else {
-                false
-            }
-        } else {
-            let child_state = self.evaluator.assess(&child_data);
-            ctx.evals.full += 1;
-            let child = Individual::new(parent.name.clone(), child_data, child_state, agg);
-            archive.offer(ScatterPoint::of(&child));
-            if offspring_wins(parent.score(), child.score()) {
-                pop.replace(i, child);
-                true
-            } else {
-                false
-            }
+        let incremental = self.config.incremental_mutation;
+        let patch = incremental.then(|| Patch::cell(mu.row, mu.attr, mu.old));
+        let task = EvalTask::of(parent.state(), &child_data, patch.as_ref());
+        let state = ctx
+            .evaluate(&self.evaluator, &self.config, &[task], false)
+            .pop()
+            .expect("one state");
+        let name = parent.name.clone();
+        let child = Individual::new(name, child_data, state, self.config.aggregator);
+        archive.offer(ScatterPoint::of(&child));
+        if !offspring_wins(parent.score(), child.score()) {
+            return false;
         }
+        if incremental {
+            ctx.accepted_incremental += 1;
+        }
+        pop.replace(i, child);
+        true
     }
 
     /// One crossover generation: leader + proportional selection, 2-point
@@ -226,13 +194,9 @@ impl Evolution {
     /// [`EvoConfig::parallel_offspring`] is on and the file is large enough
     /// to amortize the spawns; with [`EvoConfig::incremental_crossover`]
     /// each child is re-assessed from its frame parent's cached state via a
-    /// flat-range [`Patch`] instead of a full O(n²) pass — bit-identical to
-    /// the full pass ([`EvoConfig::incremental_refresh`] optionally asserts
-    /// it). Unlike the mutation path, each child pays one O(n) state clone
-    /// inside [`cdp_metrics::Evaluator::reassess`]: both children may enter
-    /// the population, so owned states are required either way, and the
-    /// clone is <1% of the segment-relink work it rides along with
-    /// (measured in `BENCH_evaluator.json`).
+    /// flat-range [`Patch`] instead of a full pass — bit-identical to the
+    /// full pass ([`EvoConfig::incremental_refresh`] optionally asserts
+    /// it).
     fn crossover_step(
         &self,
         pop: &mut Population,
@@ -247,50 +211,23 @@ impl Evolution {
         let (z1_data, z2_data, (s, r)) = crossover(&pop.get(i1).data, &pop.get(i2).data, rng);
         let parallel = self.config.parallel_offspring && z1_data.n_rows() >= MIN_PARALLEL_EVAL_ROWS;
         let incremental = self.config.incremental_crossover;
-        let (z1_state, z2_state) = if incremental {
-            // each child shares its frame parent's file outside [s, r]:
-            // patch the parent's cached state with the swapped-in segment
-            let old1: Vec<_> = (s..=r).map(|p| pop.get(i1).data.get_flat(p)).collect();
-            let old2: Vec<_> = (s..=r).map(|p| pop.get(i2).data.get_flat(p)).collect();
-            let patch1 = Patch::flat_range(s, r, old1);
-            let patch2 = Patch::flat_range(s, r, old2);
-            let tasks = [
-                EvalTask::Patch {
-                    prev: pop.get(i1).state(),
-                    masked: &z1_data,
-                    patch: &patch1,
-                },
-                EvalTask::Patch {
-                    prev: pop.get(i2).state(),
-                    masked: &z2_data,
-                    patch: &patch2,
-                },
-            ];
-            let mut states = evaluate_tasks(&self.evaluator, &tasks, parallel);
-            ctx.evals.incremental += 2;
-            if ctx.verify_due(&self.config) {
-                let full_tasks = [EvalTask::Full(&z1_data), EvalTask::Full(&z2_data)];
-                let fulls = evaluate_tasks(&self.evaluator, &full_tasks, parallel);
-                ctx.evals.full += 2;
-                assert_eq!(
-                    states[0].assessment, fulls[0].assessment,
-                    "incremental crossover state diverged from the full assessment"
-                );
-                assert_eq!(
-                    states[1].assessment, fulls[1].assessment,
-                    "incremental crossover state diverged from the full assessment"
-                );
-                ctx.note_verified();
-            }
-            let z2_state = states.pop().expect("two states");
-            (states.pop().expect("two states"), z2_state)
-        } else {
-            let tasks = [EvalTask::Full(&z1_data), EvalTask::Full(&z2_data)];
-            let mut states = evaluate_tasks(&self.evaluator, &tasks, parallel);
-            ctx.evals.full += 2;
-            let z2_state = states.pop().expect("two states");
-            (states.pop().expect("two states"), z2_state)
+        // each child shares its frame parent's file outside [s, r]: the
+        // incremental path patches that parent's cached state with the
+        // swapped-in segment
+        let segment = |p: usize| {
+            incremental.then(|| {
+                let old = (s..=r).map(|q| pop.get(p).data.get_flat(q)).collect();
+                Patch::flat_range(s, r, old)
+            })
         };
+        let (patch1, patch2) = (segment(i1), segment(i2));
+        let tasks = [
+            EvalTask::of(pop.get(i1).state(), &z1_data, patch1.as_ref()),
+            EvalTask::of(pop.get(i2).state(), &z2_data, patch2.as_ref()),
+        ];
+        let mut states = ctx.evaluate(&self.evaluator, &self.config, &tasks, parallel);
+        let z2_state = states.pop().expect("two states");
+        let z1_state = states.pop().expect("two states");
         let z1 = Individual::new(
             pop.get(i1).name.clone(),
             z1_data,
@@ -536,7 +473,7 @@ impl IslandMode for Evolution {
             since_improvement: 0,
             t: 0,
             op_stats,
-            ctx: StepCtx::new(),
+            ctx: StepCtx::default(),
         }
     }
 

@@ -6,8 +6,9 @@ use cdp_metrics::{Assessment, EvalState, ObjectiveVector, ScoreAggregator};
 /// A member of the evolutionary population.
 ///
 /// The genotype is the protected file itself (no encoding, §2.1 of the
-/// paper); the cached [`EvalState`] carries the sufficient statistics that
-/// make incremental mutation re-assessment possible.
+/// paper); the individual owns its [`EvalState`], whose sufficient
+/// statistics let an offspring be scored by patching it
+/// ([`cdp_metrics::Evaluator::reassess`]).
 #[derive(Debug, Clone)]
 pub struct Individual {
     /// Provenance label (initial protections keep their method name;
@@ -34,19 +35,6 @@ impl Individual {
             score,
             objectives,
         }
-    }
-
-    /// Wrap a protection whose state lives in a borrowed scratch buffer
-    /// (the state is cloned *here*, which is the only copy the scratch
-    /// evaluation path pays — and only for offspring that actually win
-    /// their duel).
-    pub fn from_scratch(
-        name: String,
-        data: SubTable,
-        state: &EvalState,
-        agg: ScoreAggregator,
-    ) -> Self {
-        Individual::new(name, data, state.clone(), agg)
     }
 
     /// Cached fitness score (smaller is better).
@@ -83,14 +71,6 @@ impl Individual {
     /// The cached evaluation state (for incremental re-assessment).
     pub fn state(&self) -> &EvalState {
         &self.state
-    }
-
-    /// Replace the cached state and re-derive the score (resetting the
-    /// objective vector to the canonical pair of the new assessment).
-    pub fn replace_state(&mut self, state: EvalState, agg: ScoreAggregator) {
-        self.score = state.assessment.score(agg);
-        self.objectives = ObjectiveVector::pair(state.assessment.il(), state.assessment.dr());
-        self.state = state;
     }
 }
 

@@ -34,7 +34,7 @@ use crate::config::IslandConfig;
 use crate::individual::Individual;
 use crate::islands::{budget_share, deal, island_hash, EpochRunner, IslandEvent, IslandMode};
 use crate::operators::{crossover, mutate};
-use crate::parallel::{evaluate_all, evaluate_tasks, EvalTask};
+use crate::parallel::{evaluate_tasks, load_population, EvalTask};
 use crate::telemetry::{EvalCounts, ScatterPoint};
 use crate::{EvoError, Result};
 
@@ -395,31 +395,17 @@ impl Nsga2 {
         I::Item: Into<(String, SubTable)>,
     {
         self.config.validate()?;
-        let items: Vec<(String, SubTable)> = items.into_iter().map(Into::into).collect();
-        if items.is_empty() {
-            return Err(EvoError::EmptyPopulation);
-        }
-        for (name, data) in &items {
-            self.evaluator
-                .prepared()
-                .check_compatible(data)
-                .map_err(|source| EvoError::IncompatibleIndividual {
-                    name: name.clone(),
-                    source,
-                })?;
-        }
-        let states = evaluate_all(&self.evaluator, &items, self.config.parallel_init);
         // the scalar score is unused by NSGA selection; Max is stored so
         // ScatterPoint labels remain meaningful in mixed reports
-        let members = items
-            .into_iter()
-            .zip(states)
-            .map(|((name, data), state)| {
-                let mut ind = Individual::new(name, data, state, ScoreAggregator::Max);
-                assign_objectives(&self.objectives, &self.evaluator, &mut ind);
-                ind
-            })
-            .collect();
+        let mut members = load_population(
+            &self.evaluator,
+            items,
+            self.config.parallel_init,
+            ScoreAggregator::Max,
+        )?;
+        for ind in &mut members {
+            assign_objectives(&self.objectives, &self.evaluator, ind);
+        }
         self.population = Some(members);
         Ok(self)
     }
@@ -591,13 +577,8 @@ impl EpochRunner for NsgaRunner {
 
         let tasks: Vec<EvalTask<'_>> = children
             .iter()
-            .map(|(_, data, patch, parent)| match patch {
-                Some(patch) => EvalTask::Patch {
-                    prev: pop[*parent].state(),
-                    masked: data,
-                    patch,
-                },
-                None => EvalTask::Full(data),
+            .map(|(_, data, patch, parent)| {
+                EvalTask::of(pop[*parent].state(), data, patch.as_ref())
             })
             .collect();
         let states = evaluate_tasks(&self.nsga.evaluator, &tasks, cfg.parallel_init);

@@ -12,7 +12,10 @@
 //! parallel run is bit-identical to a serial one.
 
 use cdp_dataset::SubTable;
-use cdp_metrics::{EvalState, Evaluator, Patch};
+use cdp_metrics::{EvalState, Evaluator, Patch, ScoreAggregator};
+
+use crate::individual::Individual;
+use crate::{EvoError, Result};
 
 /// Row count under which spawning threads for an offspring pair costs more
 /// than it saves (thread startup is ~tens of µs; an assessment of a file
@@ -34,7 +37,20 @@ pub enum EvalTask<'a> {
     },
 }
 
-impl EvalTask<'_> {
+impl<'a> EvalTask<'a> {
+    /// Score `masked` by patching `prev` when a patch is given, by a full
+    /// assessment otherwise.
+    pub(crate) fn of(prev: &'a EvalState, masked: &'a SubTable, patch: Option<&'a Patch>) -> Self {
+        match patch {
+            Some(patch) => EvalTask::Patch {
+                prev,
+                masked,
+                patch,
+            },
+            None => EvalTask::Full(masked),
+        }
+    }
+
     fn run(&self, evaluator: &Evaluator) -> EvalState {
         match self {
             EvalTask::Full(data) => evaluator.assess(data),
@@ -90,6 +106,43 @@ pub fn evaluate_all(
 ) -> Vec<EvalState> {
     let tasks: Vec<EvalTask<'_>> = items.iter().map(|(_, d)| EvalTask::Full(d)).collect();
     evaluate_tasks(evaluator, &tasks, parallel)
+}
+
+/// The initial-population loader both optimizers share: check every named
+/// protection against the evaluator's original, then evaluate them all
+/// ([`evaluate_all`]) into individuals scored under `agg`.
+///
+/// # Errors
+/// [`EvoError::EmptyPopulation`] or [`EvoError::IncompatibleIndividual`].
+pub(crate) fn load_population<I>(
+    evaluator: &Evaluator,
+    items: I,
+    parallel: bool,
+    agg: ScoreAggregator,
+) -> Result<Vec<Individual>>
+where
+    I: IntoIterator,
+    I::Item: Into<(String, SubTable)>,
+{
+    let items: Vec<(String, SubTable)> = items.into_iter().map(Into::into).collect();
+    if items.is_empty() {
+        return Err(EvoError::EmptyPopulation);
+    }
+    for (name, data) in &items {
+        evaluator
+            .prepared()
+            .check_compatible(data)
+            .map_err(|source| EvoError::IncompatibleIndividual {
+                name: name.clone(),
+                source,
+            })?;
+    }
+    let states = evaluate_all(evaluator, &items, parallel);
+    Ok(items
+        .into_iter()
+        .zip(states)
+        .map(|((name, data), state)| Individual::new(name, data, state, agg))
+        .collect())
 }
 
 #[cfg(test)]

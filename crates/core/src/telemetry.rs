@@ -54,10 +54,10 @@ impl ScatterPoint {
 ///
 /// `full` counts complete [`cdp_metrics::Evaluator::assess`] passes
 /// (initial population included); `incremental` counts patch-based
-/// re-assessments ([`cdp_metrics::Evaluator::reassess`] /
-/// `reassess_into`). The split is the observable behind the delta-vs-full
-/// benchmarks: flipping the incremental knobs must move work from `full`
-/// to `incremental` without changing the RNG stream.
+/// re-assessments ([`cdp_metrics::Evaluator::reassess`]). The split is the
+/// observable behind the delta-vs-full benchmarks: flipping the incremental
+/// knobs must move work from `full` to `incremental` without changing the
+/// RNG stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounts {
     /// Full O(n²) assessments.

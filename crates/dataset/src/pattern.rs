@@ -286,18 +286,6 @@ impl PatternIndex {
         pid
     }
 
-    /// Clone-from with allocation reuse, mirroring `Clone::clone_from` but
-    /// spelled out so scratch evaluators don't re-allocate per generation.
-    pub fn clone_from_reuse(&mut self, source: &Self) {
-        self.n_attrs = source.n_attrs;
-        self.codes.clone_from(&source.codes);
-        self.mult.clone_from(&source.mult);
-        self.row_pid.clone_from(&source.row_pid);
-        self.lookup.clone_from(&source.lookup);
-        self.postings.clone_from(&source.postings);
-        self.n_live = source.n_live;
-    }
-
     /// Check the internal invariants (test helper): multiplicities match the
     /// row map, every row's codes match its pattern, postings cover every
     /// pattern exactly once per attribute.
@@ -527,16 +515,5 @@ mod tests {
             + idx.n_patterns() * std::mem::size_of::<u32>()
             + idx.n_rows() * std::mem::size_of::<PatternId>();
         assert!(idx.approx_bytes() > floor, "postings and lookup counted");
-    }
-
-    #[test]
-    fn clone_from_reuse_matches_clone() {
-        let s = sub(&[[0, 1], [2, 3], [0, 1]]);
-        let idx = PatternIndex::build(&s);
-        let other = sub(&[[4, 0], [4, 0], [1, 1]]);
-        let mut scratch = PatternIndex::build(&other);
-        scratch.clone_from_reuse(&idx);
-        scratch.check_consistent(&s);
-        assert_eq!(scratch.n_patterns(), idx.n_patterns());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The category dictionaries in this domain are tiny (≤ 25 categories), so
 //! pairwise tables are a few hundred cells and dense `u32` vectors beat any
-//! sparse structure. Tables support O(#attrs) in-place updates after a
-//! single-cell mutation, which the incremental evaluator relies on.
+//! sparse structure. Tables support O(#attrs²) in-place updates after the
+//! cells of one record change, which the incremental evaluator relies on.
 
 use cdp_dataset::{Code, SubTable};
 
@@ -12,7 +12,7 @@ use cdp_dataset::{Code, SubTable};
 pub(crate) type RawTableParts<'a> = (&'a [Vec<u32>], &'a [(usize, usize, Vec<u32>)], &'a [usize]);
 
 /// Order-1 and order-2 contingency tables of one sub-table.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContingencyTables {
     /// `singles[k][v]` = number of records with value `v` on attribute `k`.
     singles: Vec<Vec<u32>>,
@@ -21,35 +21,6 @@ pub struct ContingencyTables {
     /// Category count per attribute (for flattening).
     cats: Vec<usize>,
     n_rows: usize,
-}
-
-impl Clone for ContingencyTables {
-    fn clone(&self) -> Self {
-        ContingencyTables {
-            singles: self.singles.clone(),
-            pairs: self.pairs.clone(),
-            cats: self.cats.clone(),
-            n_rows: self.n_rows,
-        }
-    }
-
-    /// Buffer-reusing copy: when the shapes match (the only case on the
-    /// evaluator's hot path, where scratch states all describe one schema),
-    /// no heap allocation is performed.
-    fn clone_from(&mut self, src: &Self) {
-        self.singles.clone_from(&src.singles);
-        self.cats.clone_from(&src.cats);
-        self.n_rows = src.n_rows;
-        if self.pairs.len() == src.pairs.len() {
-            for (dst, s) in self.pairs.iter_mut().zip(&src.pairs) {
-                dst.0 = s.0;
-                dst.1 = s.1;
-                dst.2.clone_from(&s.2);
-            }
-        } else {
-            self.pairs.clone_from(&src.pairs);
-        }
-    }
 }
 
 impl ContingencyTables {
@@ -122,13 +93,6 @@ impl ContingencyTables {
     /// Number of records the tables were built from.
     pub fn n_rows(&self) -> usize {
         self.n_rows
-    }
-
-    /// Update the tables after one cell of `masked` changed: record `row`,
-    /// attribute `k`, previous code `old` (the new code is read from
-    /// `masked`). O(#attrs).
-    pub fn apply_mutation(&mut self, masked: &SubTable, row: usize, k: usize, old: Code) {
-        self.apply_row_patch(masked, row, &[(k, old)]);
     }
 
     /// Update the tables after several cells of *one* record changed at
@@ -267,7 +231,7 @@ mod tests {
             let new = new % m.attr(k).n_categories() as Code;
             let old = m.get(row, k);
             m.set(row, k, new);
-            tables.apply_mutation(&m, row, k, old);
+            tables.apply_row_patch(&m, row, &[(k, old)]);
         }
         assert_eq!(tables, ContingencyTables::build(&m));
     }
@@ -286,22 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn clone_from_reuses_matching_shape() {
-        let s = sub();
-        let a = ContingencyTables::build(&s);
-        let mut m = s.clone();
-        m.set(0, 0, (m.get(0, 0) + 1) % m.attr(0).n_categories() as Code);
-        let mut b = ContingencyTables::build(&m);
-        b.clone_from(&a);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn apply_mutation_noop_when_code_unchanged() {
         let s = sub();
         let mut tables = ContingencyTables::build(&s);
         let before = tables.clone();
-        tables.apply_mutation(&s, 0, 0, s.get(0, 0));
+        tables.apply_row_patch(&s, 0, &[(0, s.get(0, 0))]);
         assert_eq!(tables, before);
     }
 }

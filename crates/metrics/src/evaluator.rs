@@ -4,7 +4,7 @@
 //!
 //! The paper reports that fitness evaluation consumes 99.98% of a
 //! generation's wall time and names faster IL/DR computation as future
-//! work. Four levers are implemented here:
+//! work. Three levers are implemented here:
 //!
 //! 1. **Original-side caching** — ranks, marginals, contingency tables and
 //!    chance-agreement probabilities of the original file are computed once
@@ -26,13 +26,9 @@
 //!    ([`MaskedStats::apply_patch`] reports every midrank shift, touched
 //!    row or not). A patched state therefore equals the full recompute
 //!    bit for bit — no frozen-weights or stale-midrank approximation, no
-//!    drift to bound.
-//! 3. **Scratch reuse** — [`Evaluator::reassess_into`] writes the updated
-//!    state into a caller-owned scratch [`EvalState`] whose buffers are
-//!    recycled (`clone_from` is allocation-free once shapes match), so the
-//!    per-offspring cost is a handful of `memcpy`s plus the delta work —
-//!    not five fresh n-sized vectors per iteration.
-//! 4. **Blocked linkage** — with [`LinkageMode::Blocked`] (the default),
+//!    drift to bound. Each call returns an owned state: the parent's state
+//!    is cloned once, then patched in place.
+//! 3. **Blocked linkage** — with [`LinkageMode::Blocked`] (the default),
 //!    DBRL and RSRL scan the *distinct patterns* of a [`PatternIndex`]
 //!    instead of all `n²` record pairs, and the PRL census is built the
 //!    same way; the state carries a masked-side index that every patch
@@ -42,7 +38,8 @@
 //!    [`crate::linkage`] for the exactness argument.
 //!
 //! A single-cell mutation is the one-cell patch
-//! `Patch::cell(row, k, old)` handed to [`Evaluator::reassess`].
+//! `Patch::cell(row, k, old)` handed to [`Evaluator::reassess`]; it runs
+//! through the same patch engine as a crossover segment.
 
 use std::collections::HashMap;
 
@@ -59,7 +56,7 @@ use crate::linkage::{
     dbrl_credits_blocked, pattern_link, pattern_to_row_distance, rsrl_credit, rsrl_credits,
     rsrl_credits_blocked, self_compatible, PatternCensus, PrlModel, DIST_EPS,
 };
-use crate::patch::{Patch, PatchCell};
+use crate::patch::Patch;
 use crate::prepared::{MaskedStats, MovedCategory, PreparedOriginal};
 use crate::score::ScoreAggregator;
 use crate::{MetricError, Result};
@@ -87,6 +84,37 @@ pub enum LinkageMode {
     #[default]
     Blocked,
 }
+
+/// Most protected attributes an evaluator accepts: the PRL pattern census
+/// keeps `2^a` agreement-pattern bins per masked pattern.
+const MAX_ATTRS: usize = 20;
+
+/// Reject originals wider than `MAX_ATTRS`.
+fn check_attr_count(n_attrs: usize) -> Result<()> {
+    if n_attrs > MAX_ATTRS {
+        return Err(MetricError::ShapeMismatch(format!(
+            "{n_attrs} protected attributes; at most {MAX_ATTRS} are supported \
+             (the PRL census keeps 2^a agreement-pattern bins)"
+        )));
+    }
+    Ok(())
+}
+
+/// Headline numbers of a state whose statistics are not summarized yet;
+/// [`Evaluator::assess`] overwrites them at once.
+const UNSCORED: Assessment = Assessment {
+    il_parts: IlBreakdown {
+        ctbil: f64::NAN,
+        dbil: f64::NAN,
+        ebil: f64::NAN,
+    },
+    dr_parts: DrBreakdown {
+        id: f64::NAN,
+        dbrl: f64::NAN,
+        prl: f64::NAN,
+        rsrl: f64::NAN,
+    },
+};
 
 /// Tunable measure parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -207,7 +235,10 @@ impl Assessment {
 /// shape). The histograms also serve the *full* assessment — credits sweep
 /// them in O(n·2^a) instead of re-scanning all n² pairs — so the footprint
 /// buys speed even in `inc=off` runs that never patch.
-#[derive(Debug)]
+///
+/// Every state is owned: [`Evaluator::assess`] builds one, and
+/// [`Evaluator::reassess`] clones its parent's and patches the copy.
+#[derive(Debug, Clone)]
 pub struct EvalState {
     /// The headline numbers.
     pub assessment: Assessment,
@@ -242,43 +273,6 @@ impl EvalState {
     }
 }
 
-impl Clone for EvalState {
-    fn clone(&self) -> Self {
-        EvalState {
-            assessment: self.assessment,
-            masked_tables: self.masked_tables.clone(),
-            dbil_accs: self.dbil_accs.clone(),
-            confusion: self.confusion.clone(),
-            id_counts: self.id_counts.clone(),
-            masked_stats: self.masked_stats.clone(),
-            masked_index: self.masked_index.clone(),
-            pattern_census: self.pattern_census.clone(),
-            prl_model: self.prl_model.clone(),
-            dbrl_credits: self.dbrl_credits.clone(),
-            prl_credits: self.prl_credits.clone(),
-            rsrl_credits: self.rsrl_credits.clone(),
-        }
-    }
-
-    /// Field-wise buffer reuse: copying one state over another of the same
-    /// shape performs no heap allocation. [`Evaluator::reassess_into`]
-    /// relies on this to keep the evolution loop allocation-free.
-    fn clone_from(&mut self, src: &Self) {
-        self.assessment = src.assessment;
-        self.masked_tables.clone_from(&src.masked_tables);
-        self.dbil_accs.clone_from(&src.dbil_accs);
-        self.confusion.clone_from(&src.confusion);
-        self.id_counts.clone_from(&src.id_counts);
-        self.masked_stats.clone_from(&src.masked_stats);
-        self.masked_index.clone_from_reuse(&src.masked_index);
-        self.pattern_census.clone_from(&src.pattern_census);
-        self.prl_model.clone_from(&src.prl_model);
-        self.dbrl_credits.clone_from(&src.dbrl_credits);
-        self.prl_credits.clone_from(&src.prl_credits);
-        self.rsrl_credits.clone_from(&src.rsrl_credits);
-    }
-}
-
 /// Fitness evaluator bound to one original file.
 #[derive(Debug, Clone)]
 pub struct Evaluator {
@@ -290,9 +284,12 @@ impl Evaluator {
     /// Prepare the evaluator for an original protected sub-table.
     ///
     /// # Errors
-    /// [`MetricError::InvalidConfig`] for out-of-range parameters.
+    /// [`MetricError::InvalidConfig`] for out-of-range parameters;
+    /// [`MetricError::ShapeMismatch`] for more than 20 protected attributes
+    /// (checked before any preparation work).
     pub fn new(original: &SubTable, cfg: MetricConfig) -> Result<Self> {
         cfg.validate()?;
+        check_attr_count(original.n_attrs())?;
         Ok(Evaluator {
             prep: PreparedOriginal::new(original),
             cfg,
@@ -305,6 +302,7 @@ impl Evaluator {
     /// bit-identically to one built by [`Evaluator::new`].
     pub(crate) fn from_prepared(prep: PreparedOriginal, cfg: MetricConfig) -> Result<Self> {
         cfg.validate()?;
+        check_attr_count(prep.n_attrs())?;
         Ok(Evaluator { prep, cfg })
     }
 
@@ -371,25 +369,8 @@ impl Evaluator {
             }
         };
 
-        let assessment = Assessment {
-            il_parts: IlBreakdown {
-                ctbil: prep.tables().distance(&masked_tables),
-                dbil: dbil_value(
-                    dbil_sum_from_accs(prep, &accs),
-                    prep.n_rows(),
-                    prep.n_attrs(),
-                ),
-                ebil: ebil_from_confusion(prep, &confusion),
-            },
-            dr_parts: DrBreakdown {
-                id: id_value(prep, &id_counts),
-                dbrl: credits_value(&dbrl_cr),
-                prl: credits_value(&prl_cr),
-                rsrl: credits_value(&rsrl_cr),
-            },
-        };
-        EvalState {
-            assessment,
+        let mut state = EvalState {
+            assessment: UNSCORED,
             masked_tables,
             dbil_accs: accs,
             confusion,
@@ -401,7 +382,9 @@ impl Evaluator {
             dbrl_credits: dbrl_cr,
             prl_credits: prl_cr,
             rsrl_credits: rsrl_cr,
-        }
+        };
+        self.refresh_assessment(&mut state);
+        state
     }
 
     /// Re-assess after an arbitrary set of cell changes.
@@ -416,21 +399,6 @@ impl Evaluator {
         let mut out = prev.clone();
         self.apply_patch(masked, patch, &mut out);
         out
-    }
-
-    /// [`Evaluator::reassess`] with scratch reuse: `out` is overwritten
-    /// with the updated state, recycling its buffers (no heap allocation
-    /// beyond the patch bookkeeping once shapes match). `out` may hold a
-    /// state of any provenance — its previous content is discarded.
-    pub fn reassess_into(
-        &self,
-        prev: &EvalState,
-        masked: &SubTable,
-        patch: &Patch,
-        out: &mut EvalState,
-    ) {
-        out.clone_from(prev);
-        self.apply_patch(masked, patch, out);
     }
 
     /// One changed cell's exact integer deltas: DBIL accumulator, the EBIL
@@ -599,33 +567,10 @@ impl Evaluator {
         self.refresh_assessment(state);
     }
 
-    /// Single-cell fast path: the mutation operator's shape, taken every
-    /// iteration of an `incremental_mutation` run, so it skips the general
-    /// engine's resolve/sort/group bookkeeping entirely.
-    fn apply_single_cell(&self, masked: &SubTable, cell: PatchCell, state: &mut EvalState) {
-        let prep = &self.prep;
-        let PatchCell { row, attr: k, old } = cell;
-        let new = masked.get(row, k);
-        if new == old {
-            return;
-        }
-        self.apply_cell_deltas(state, row, k, old, new);
-        state
-            .masked_tables
-            .apply_row_patch(masked, row, &[(k, old)]);
-        let moved = state.masked_stats.apply_patch(prep, [(k, old, new)]);
-        self.repattern(masked, &[row], state);
-        self.relink(masked, &[row], &moved, state);
-    }
-
     /// The patch engine: update `state` (already a copy of the pre-patch
     /// state) in place.
     fn apply_patch(&self, masked: &SubTable, patch: &Patch, state: &mut EvalState) {
         let prep = &self.prep;
-        if let Some(cell) = patch.single_cell(prep.n_attrs()) {
-            self.apply_single_cell(masked, cell, state);
-            return;
-        }
         let mut cells = patch.resolve(prep.n_attrs());
         cells.sort_unstable_by_key(|c| (c.row, c.attr));
         // a duplicated cell would double-apply every integer delta below,
@@ -683,7 +628,8 @@ impl Evaluator {
     }
 
     /// Recompute the headline numbers from the (already updated)
-    /// sufficient statistics.
+    /// sufficient statistics — the one place statistics become an
+    /// [`Assessment`], for full and patched states alike.
     fn refresh_assessment(&self, state: &mut EvalState) {
         let prep = &self.prep;
         state.assessment = Assessment {
@@ -904,30 +850,68 @@ mod tests {
     }
 
     #[test]
-    fn reassess_into_matches_reassess_and_reuses_scratch() {
+    fn reassess_chains_from_states_of_any_provenance() {
         let (ev, s) = setup(70);
-        let mut rng = StdRng::seed_from_u64(12);
         let mut m = s.clone();
         let state = ev.assess(&m);
         let old = m.get(3, 0);
         m.set(3, 0, (old + 5) % ev.prepared().cats(0) as u16);
-        let patch = Patch::cell(3, 0, old);
-        let owned = ev.reassess(&state, &m, &patch);
-        // scratch starts as an arbitrary other state and must be overwritten
-        let mut scratch = ev.assess(&s);
-        ev.reassess_into(&state, &m, &patch, &mut scratch);
-        assert_eq!(owned.assessment, scratch.assessment);
-        // reuse the same scratch for a second, different patch
+        let first = ev.reassess(&state, &m, &Patch::cell(3, 0, old));
+        assert_eq!(first.assessment, ev.assess(&m).assessment);
+        // a second patch chained onto the patched state
         let old2 = m.get(9, 2);
         m.set(9, 2, (old2 + 1) % ev.prepared().cats(2) as u16);
-        let state2 = owned;
         let patch2 = Patch::cell(9, 2, old2);
-        ev.reassess_into(&state2, &m, &patch2, &mut scratch);
-        assert_eq!(
-            ev.reassess(&state2, &m, &patch2).assessment,
-            scratch.assessment
-        );
-        let _ = rng.gen::<u64>();
+        let chained = ev.reassess(&first, &m, &patch2);
+        assert_eq!(chained.assessment, ev.assess(&m).assessment);
+        // the same patch from a fully assessed state of the intermediate
+        // file: provenance of the parent state must not matter
+        let mut mid = m.clone();
+        mid.set(9, 2, old2);
+        let from_full = ev.reassess(&ev.assess(&mid), &m, &patch2);
+        assert_eq!(from_full.assessment, chained.assessment);
+    }
+
+    #[test]
+    fn one_cell_patches_of_every_shape_match_full() {
+        let (ev, s) = setup(70);
+        let state = ev.assess(&s);
+        let a = s.n_attrs();
+        let (row, k) = (11, 1);
+        let old = s.get(row, k);
+        let mut m = s.clone();
+        m.set(row, k, (old + 3) % ev.prepared().cats(k) as u16);
+        assert_ne!(m.get(row, k), old, "the cell must change");
+        let full = ev.assess(&m).assessment;
+        let p = row * a + k;
+        for patch in [
+            Patch::cell(row, k, old),
+            Patch::from_cells(vec![PatchCell { row, attr: k, old }]),
+            Patch::flat_range(p, p, vec![old]),
+        ] {
+            assert_eq!(ev.reassess(&state, &m, &patch).assessment, full);
+        }
+        // a one-cell patch naming a cell that kept its value is a no-op
+        let same = ev.reassess(&state, &s, &Patch::cell(row, k, old));
+        assert_eq!(same.assessment, state.assessment);
+    }
+
+    #[test]
+    fn more_than_twenty_attributes_is_a_typed_error() {
+        use cdp_dataset::{Attribute, Schema};
+        use std::sync::Arc;
+        let wide = |a: usize| {
+            let attrs = (0..a).map(|k| Attribute::nominal(format!("a{k}"), 2));
+            let schema = Arc::new(Schema::new(attrs.collect()).unwrap());
+            SubTable::new(schema, (0..a).collect(), vec![vec![0, 1, 0, 1]; a]).unwrap()
+        };
+        match Evaluator::new(&wide(21), MetricConfig::default()) {
+            Err(MetricError::ShapeMismatch(msg)) => {
+                assert!(msg.contains("at most 20"), "{msg}")
+            }
+            other => panic!("expected a shape error, got {other:?}"),
+        }
+        assert!(Evaluator::new(&wide(20), MetricConfig::default()).is_ok());
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //! contingency tables, Fellegi–Sunter weights) so that evaluating one masked
 //! file — the dominant cost the paper reports (99.98% of generation time) —
 //! touches the original data only through precomputed tables. On top of
-//! that, a *delta-evaluation engine* ([`Evaluator::reassess`] /
-//! [`Evaluator::reassess_into`]) updates a cached [`EvalState`] after an
-//! arbitrary [`Patch`] of cell changes — a mutation's single cell or a
-//! crossover's flattened segment — updating IL and interval disclosure
-//! exactly and relinking only the touched records, addressing the paper's
-//! future-work item on fitness cost (ablated in `cdp-bench`).
+//! that, a *delta-evaluation engine* ([`Evaluator::reassess`]) returns a
+//! parent's [`EvalState`] patched by an arbitrary [`Patch`] of cell
+//! changes — a mutation's single cell or a crossover's flattened segment —
+//! updating every statistic exactly and relinking only the touched
+//! records, bit-identical to [`Evaluator::assess`]. It addresses the
+//! paper's future-work item on fitness cost (ablated in `cdp-bench`).
 //!
 //! The prepared state also persists across processes: the [`snapshot`]
 //! module serializes it to a versioned binary file keyed by a content hash

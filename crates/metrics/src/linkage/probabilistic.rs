@@ -31,28 +31,13 @@ use crate::linkage::{credits_value, DIST_EPS};
 use crate::prepared::PreparedOriginal;
 
 /// Fitted Fellegi–Sunter weights.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PrlModel {
     /// `log2(m_k / u_k)` per attribute (contribution of an agreement).
     pub agree_weight: Vec<f64>,
     /// `log2((1−m_k)/(1−u_k))` per attribute (contribution of a
     /// disagreement).
     pub disagree_weight: Vec<f64>,
-}
-
-impl Clone for PrlModel {
-    fn clone(&self) -> Self {
-        PrlModel {
-            agree_weight: self.agree_weight.clone(),
-            disagree_weight: self.disagree_weight.clone(),
-        }
-    }
-
-    /// Buffer-reusing copy for scratch evaluation states.
-    fn clone_from(&mut self, src: &Self) {
-        self.agree_weight.clone_from(&src.agree_weight);
-        self.disagree_weight.clone_from(&src.disagree_weight);
-    }
 }
 
 const P_FLOOR: f64 = 1e-6;
@@ -222,7 +207,7 @@ fn pattern(prep: &PreparedOriginal, masked: &SubTable, i: usize, j: usize) -> us
 /// All counts are integers, so incrementally maintained instances are
 /// *identical* — not merely close — to freshly built ones, which is what
 /// lets the delta evaluator reproduce a full assessment bit-for-bit.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PatternCensus {
     n_patterns: usize,
     /// `hist[pid * n_patterns + p]` = #original records whose agreement
@@ -234,25 +219,6 @@ pub struct PatternCensus {
     census: Vec<u64>,
     /// `pattern(i, i)` per masked record.
     self_pattern: Vec<u32>,
-}
-
-impl Clone for PatternCensus {
-    fn clone(&self) -> Self {
-        PatternCensus {
-            n_patterns: self.n_patterns,
-            hist: self.hist.clone(),
-            census: self.census.clone(),
-            self_pattern: self.self_pattern.clone(),
-        }
-    }
-
-    /// Buffer-reusing copy for scratch evaluation states.
-    fn clone_from(&mut self, src: &Self) {
-        self.n_patterns = src.n_patterns;
-        self.hist.clone_from(&src.hist);
-        self.census.clone_from(&src.census);
-        self.self_pattern.clone_from(&src.self_pattern);
-    }
 }
 
 impl PatternCensus {

@@ -29,8 +29,6 @@ pub struct PatchCell {
 
 #[derive(Debug, Clone)]
 enum Repr {
-    /// One cell, stored inline — [`Patch::cell`] allocates nothing.
-    Single(PatchCell),
     /// Explicit cell list.
     Cells(Vec<PatchCell>),
     /// A contiguous flattened range starting at `start` (row-major layout),
@@ -49,17 +47,14 @@ pub struct Patch {
 }
 
 impl Patch {
-    /// A single-cell patch — the mutation operator's shape. Performs no
-    /// heap allocation.
+    /// A single-cell patch — the mutation operator's shape.
     pub fn cell(row: usize, attr: usize, old: Code) -> Self {
-        Patch {
-            repr: Repr::Single(PatchCell { row, attr, old }),
-        }
+        Patch::from_cells(vec![PatchCell { row, attr, old }])
     }
 
     /// An explicit cell list. At most one entry per cell: duplicates make
     /// the incremental updates double-apply and are a caller bug (checked
-    /// in debug builds at apply time).
+    /// at apply time).
     pub fn from_cells(cells: Vec<PatchCell>) -> Self {
         Patch {
             repr: Repr::Cells(cells),
@@ -93,7 +88,6 @@ impl Patch {
     /// unchanged).
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Single(_) => 1,
             Repr::Cells(cells) => cells.len(),
             Repr::Flat { old, .. } => old.len(),
         }
@@ -104,28 +98,11 @@ impl Patch {
         self.len() == 0
     }
 
-    /// The patch's one cell, when it names exactly one — the evaluator's
-    /// allocation-free fast path. `n_attrs` resolves a one-position flat
-    /// range.
-    pub(crate) fn single_cell(&self, n_attrs: usize) -> Option<PatchCell> {
-        match &self.repr {
-            Repr::Single(cell) => Some(*cell),
-            Repr::Cells(cells) if cells.len() == 1 => Some(cells[0]),
-            Repr::Flat { start, old } if old.len() == 1 => Some(PatchCell {
-                row: start / n_attrs,
-                attr: start % n_attrs,
-                old: old[0],
-            }),
-            _ => None,
-        }
-    }
-
     /// Resolve to explicit cells under a row-major flat layout with
     /// `n_attrs` columns (flat position `p` ↦ row `p / n_attrs`, attribute
     /// `p % n_attrs`).
     pub fn resolve(&self, n_attrs: usize) -> Vec<PatchCell> {
         match &self.repr {
-            Repr::Single(cell) => vec![*cell],
             Repr::Cells(cells) => cells.clone(),
             Repr::Flat { start, old } => old
                 .iter()

@@ -296,28 +296,12 @@ impl PreparedOriginal {
 /// Per-evaluation statistics of one masked file: marginal counts and the
 /// first sorted-rank of each category (under the *original* order keys, the
 /// attacker's fixed view of the category order).
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaskedStats {
     /// Marginal counts per attribute.
     pub counts: Vec<Vec<u32>>,
     /// First rank of each category in the sorted masked column.
     pub rank_start: Vec<Vec<usize>>,
-}
-
-impl Clone for MaskedStats {
-    fn clone(&self) -> Self {
-        MaskedStats {
-            counts: self.counts.clone(),
-            rank_start: self.rank_start.clone(),
-        }
-    }
-
-    /// Buffer-reusing copy (`Vec::clone_from` recycles the per-attribute
-    /// vectors), so scratch evaluation states never re-allocate here.
-    fn clone_from(&mut self, src: &Self) {
-        self.counts.clone_from(&src.counts);
-        self.rank_start.clone_from(&src.rank_start);
-    }
 }
 
 impl MaskedStats {
@@ -349,14 +333,6 @@ impl MaskedStats {
             return f64::NAN;
         }
         self.rank_start[k][v as usize] as f64 + (c - 1) as f64 / 2.0
-    }
-
-    /// Update after one cell of attribute `k` changed from `old` to `new`.
-    /// Recomputes that attribute's rank starts (O(c)); no allocation beyond
-    /// the rank rebuild's scratch. See [`MaskedStats::apply_patch`] for the
-    /// variant that reports which midranks moved.
-    pub fn apply_mutation(&mut self, prep: &PreparedOriginal, k: usize, old: Code, new: Code) {
-        let _ = self.apply_patch(prep, [(k, old, new)]);
     }
 
     /// Update after a batch of cell changes, given as `(attribute, old,
@@ -545,7 +521,7 @@ mod tests {
             let new = new % p.cats(k) as Code;
             let old = m.get(row, k);
             m.set(row, k, new);
-            stats.apply_mutation(&p, k, old, new);
+            let _ = stats.apply_patch(&p, [(k, old, new)]);
         }
         assert_eq!(stats, MaskedStats::build(&p, &m));
     }
